@@ -2,8 +2,8 @@
 
 The package factors a smooth target density into a staircase of real
 orthogonal two-qubit gates: fit the amplitude piecewise by polynomials,
-encode each piece analytically as a matrix product state, sum and
-compress the pieces to bond dimension two, and read the gates off the
+encode the piecewise polynomial analytically as one matrix product
+state, compress it to bond dimension two, and read the gates off the
 compressed cores. Every step is verifiable against exact dense oracles.
 """
 
@@ -36,7 +36,6 @@ from .functions import (
     Region,
     assemble,
     fit_piecewise,
-    mask_region,
     pdf,
     pdf_derivative,
     poly_mps,

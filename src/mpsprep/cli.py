@@ -28,6 +28,7 @@ from .circuits import validate_circuit
 from .pipeline import (
     RunConfig,
     SchemaError,
+    _sig12,
     deserialize_circuit,
     encode,
     oracle_compare,
@@ -52,10 +53,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
-
-
-def _sig12(x: float) -> str:
-    return f"{x:.12g}"
 
 
 def _parse_domain(text: str) -> tuple[float, float]:
@@ -99,7 +96,6 @@ _CONFIG_KEYS = {
     "chi": int,
     "max_sweeps": int,
     "tol": float,
-    "seed": int,
 }
 
 
@@ -116,7 +112,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--chi", type=int, default=None, help="target bond dimension")
     p.add_argument("--max-sweeps", dest="max_sweeps", type=int, default=None)
     p.add_argument("--tol", type=float, default=None, help="sweep convergence tolerance")
-    p.add_argument("--seed", type=int, default=None)
 
 
 _RUN_DEFAULTS = {
@@ -131,7 +126,6 @@ _RUN_DEFAULTS = {
     "chi": 2,
     "max_sweeps": 50,
     "tol": 1e-10,
-    "seed": 0,
 }
 
 
@@ -169,7 +163,6 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
         samples_per_region=pick("samples"),
         target_chi=pick("chi"),
         compression=opts,
-        seed=pick("seed"),
     )
 
 

@@ -3,11 +3,15 @@
 A :class:`DistributionSpec` names a probability density on an interval;
 the amplitude to prepare is the square root of that density sampled on a
 uniform 2^N-point grid and normalized. The grid is split into 2^k
-regions addressed by the leading k bits, each region gets an independent
-least-squares polynomial fit of the amplitude, and every regional
-polynomial is encoded analytically as a small MPS whose leading cores are
-masked to the region's bit prefix. Summing the masked pieces yields the
-piecewise-polynomial state with bond dimension at most 2^k * (degree+1).
+regions addressed by the leading k bits, and each region gets an
+independent least-squares polynomial fit of the amplitude in its local
+coordinate t = x - x_start, so nothing depends on where the domain sits.
+
+The piecewise polynomial is encoded as one MPS directly: the first k
+sites route the region's bit prefix to that region's coefficients, and
+the remaining sites are binomial-transfer cores that expand powers of t
+bit by bit. The transfer cores are shared by all regions, so every bond
+past cut k is at most degree+1, the TT rank of a degree-p polynomial.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import polyfit_least_squares
-from .mps import Mps, add
+from .mps import Mps
 
 __all__ = [
     "DistributionSpec",
@@ -32,7 +36,6 @@ __all__ = [
     "subdivide",
     "fit_piecewise",
     "poly_mps",
-    "mask_region",
     "assemble",
 ]
 
@@ -144,7 +147,7 @@ def pdf(spec: DistributionSpec, x):
         )
         out = g / xs
     elif spec.kind == "lorentzian":
-        out = (sigma / (2 * np.pi)) / ((xs - mu) ** 2 + sigma**2)
+        out = (sigma / np.pi) / ((xs - mu) ** 2 + sigma**2)
     else:
         out = np.asarray(spec.pdf_fn(xs), dtype=float)
     return out if out.ndim else float(out)
@@ -164,7 +167,7 @@ def pdf_derivative(spec: DistributionSpec, x):
         )
         out = -g * (1.0 + (np.log(xs) - mu) / sigma**2) / xs**2
     elif spec.kind == "lorentzian":
-        out = -(sigma / np.pi) * (xs - mu) / ((xs - mu) ** 2 + sigma**2) ** 2
+        out = -(2 * sigma / np.pi) * (xs - mu) / ((xs - mu) ** 2 + sigma**2) ** 2
     else:
         raise ValueError("no closed-form derivative for custom distributions")
     return out if out.ndim else float(out)
@@ -219,9 +222,10 @@ def subdivide(grid: Grid, support_bit: int) -> list[Region]:
 class PiecewisePoly:
     """Independent degree-p fits of the amplitude, one per bit-prefix region.
 
-    Coefficients are lowest-degree first in the domain coordinate (no
-    per-region recentering), so each vector can be fed straight to
-    :func:`poly_mps`. No continuity is enforced at region boundaries.
+    Coefficients are lowest-degree first in the region's local coordinate
+    t = x - x_start, which runs over 0, spacing, 2 * spacing, ... inside
+    the region; all regions share these t values. No continuity is
+    enforced at region boundaries.
     """
 
     support_bit: int
@@ -239,14 +243,10 @@ class PiecewisePoly:
 
     def values(self, grid: Grid) -> np.ndarray:
         """Evaluate the piecewise polynomial at every grid point."""
-        out = np.empty(grid.size)
-        xs = grid.points()
-        for region in subdivide(grid, self.support_bit):
-            coeffs = self.regions[region.index]
-            out[region.start : region.stop] = np.polynomial.polynomial.polyval(
-                xs[region.start : region.stop], coeffs
-            )
-        return out
+        block = subdivide(grid, self.support_bit)[0].stop
+        ts = np.arange(block) * grid.spacing
+        coeffs = np.array(self.regions, dtype=float).T
+        return np.polynomial.polynomial.polyval(ts, coeffs).reshape(-1)
 
 
 def fit_piecewise(
@@ -259,8 +259,9 @@ def fit_piecewise(
     """Least-squares fit of sqrt(pdf) over each region separately.
 
     Each region is sampled at ``samples_per_region`` uniformly spaced
-    points spanning its grid coordinates. Regions are fit independently
-    and may be discontinuous at the seams.
+    points spanning its grid coordinates and fit in its local coordinate
+    t = x - x_start. Regions are fit independently and may be
+    discontinuous at the seams.
     """
     if samples_per_region < degree + 1:
         raise ValueError(
@@ -269,97 +270,66 @@ def fit_piecewise(
         )
     fits = []
     for region in subdivide(grid, support_bit):
-        xs = np.linspace(region.x_start, region.x_end, samples_per_region)
-        ys = np.sqrt(np.asarray(pdf(spec, xs), dtype=float))
-        fits.append(tuple(polyfit_least_squares(xs, ys, degree)))
+        span = (region.stop - 1 - region.start) * grid.spacing
+        ts = np.linspace(0.0, span, samples_per_region)
+        ys = np.sqrt(np.asarray(pdf(spec, region.x_start + ts), dtype=float))
+        fits.append(tuple(polyfit_least_squares(ts, ys, degree)))
     return PiecewisePoly(support_bit=support_bit, degree=degree, regions=tuple(fits))
 
 
-def poly_mps(coeffs, grid: Grid) -> Mps:
-    """Encode a polynomial of the grid coordinate as an MPS, exactly.
+def _binomial_shift(tau, degree: int) -> np.ndarray:
+    """M[..., d, e] = C(d, e) * tau^(d - e), zero above the diagonal.
 
-    Writes x(k) as a sum of per-site contributions t_i (site 0 also
-    absorbs the domain offset) and threads the binomial expansion of
-    powers of partial sums through bonds of size degree+1: the bond
-    carries the monomial basis of the remaining sum. Contraction at every
-    grid index reproduces sum_j coeffs[j] * x(k)^j up to round-off.
+    A row of coefficients c of a polynomial in tau + t times M gives the
+    coefficients of the same polynomial in t. ``tau`` may be an array;
+    its shape becomes the leading shape of the result.
+    """
+    d = np.arange(degree + 1)
+    binom = np.array([[math.comb(i, j) for j in d] for i in d], dtype=float)
+    powers = np.clip(d[:, None] - d[None, :], 0, None)
+    return binom * np.asarray(tau, dtype=float)[..., None, None] ** powers
+
+
+def poly_mps(coeffs, grid: Grid) -> Mps:
+    """Encode a polynomial of the grid coordinate x as an MPS, exactly.
+
+    ``coeffs`` are lowest-degree first in x. They are re-expanded about
+    the domain start (x = grid.a + t) and encoded as a one-region
+    :func:`assemble`, so the bond dimension is at most degree+1.
     """
     a = np.asarray(coeffs, dtype=float).reshape(-1)
     if a.size == 0:
         raise ValueError("need at least one coefficient")
-    p = a.size - 1
-    n = grid.n_qubits
-    step = grid.width / grid.n_intervals
-
-    def contrib(site: int, bit: int) -> float:
-        t = bit * 2 ** (n - 1 - site) * step
-        if site == 0:
-            t += grid.a
-        return t
-
-    if n == 1:
-        vals = [
-            sum(a[j] * contrib(0, s) ** j for j in range(p + 1)) for s in (0, 1)
-        ]
-        return Mps([np.array(vals).reshape(1, 2, 1)])
-
-    def phi(s: int, t: float) -> float:
-        return sum(a[k] * math.comb(k, s) * t ** (k - s) for k in range(s, p + 1))
-
-    first = np.zeros((1, 2, p + 1))
-    for bit in (0, 1):
-        t = contrib(0, bit)
-        first[0, bit, :] = [phi(s, t) for s in range(p + 1)]
-
-    cores = [first]
-    for site in range(1, n - 1):
-        core = np.zeros((p + 1, 2, p + 1))
-        for bit in (0, 1):
-            t = contrib(site, bit)
-            for i in range(p + 1):
-                for j in range(i + 1):
-                    core[i, bit, j] = math.comb(i, j) * t ** (i - j)
-        cores.append(core)
-
-    last = np.zeros((p + 1, 2, 1))
-    for bit in (0, 1):
-        t = contrib(n - 1, bit)
-        last[:, bit, 0] = [t**i for i in range(p + 1)]
-    cores.append(last)
-    return Mps(cores)
-
-
-def mask_region(m: Mps, region_index: int, support_bit: int) -> Mps:
-    """Zero all amplitudes outside one bit-prefix region.
-
-    For each of the leading ``support_bit`` sites, the core slice whose
-    bit disagrees with the region index is zeroed; amplitudes inside the
-    region are untouched.
-    """
-    if not 0 <= support_bit <= m.n_sites:
-        raise ValueError(f"support_bit must be in [0, {m.n_sites}]")
-    if not 0 <= region_index < 2**support_bit:
-        raise ValueError(
-            f"region_index must be in [0, {2**support_bit}), got {region_index}"
-        )
-    cores = [c.copy() for c in m.cores]
-    for i in range(support_bit):
-        bit = (region_index >> (support_bit - 1 - i)) & 1
-        cores[i][:, 1 - bit, :] = 0.0
-    return Mps(cores)
+    local = a @ _binomial_shift(grid.a, a.size - 1)
+    return assemble(PiecewisePoly(0, a.size - 1, (tuple(local),)), grid)
 
 
 def assemble(pp: PiecewisePoly, grid: Grid) -> Mps:
-    """Sum the masked regional polynomial MPS into one piecewise state.
+    """Encode the piecewise polynomial as one MPS, exactly.
 
-    The result evaluates to the piecewise polynomial at every grid point
-    and has bond dimension at most 2^k * (degree+1). It is not
+    Sites 0..k-2 route the region's bit prefix (bond 2^(j+1)); site k-1
+    emits each region's local coefficients; sites k..N-1 carry the
+    monomial basis of the remaining in-region offset t through shared
+    binomial-transfer cores of bond degree+1. Bit s of site j adds
+    s * 2^(N-1-j) * spacing to t. The result evaluates to
+    :meth:`PiecewisePoly.values` at every grid point. It is not
     normalized; normalization happens once, before gate extraction.
     """
-    total: Mps | None = None
-    for j, coeffs in enumerate(pp.regions):
-        piece = poly_mps(coeffs, grid)
-        if pp.support_bit > 0:
-            piece = mask_region(piece, j, pp.support_bit)
-        total = piece if total is None else add(total, piece)
-    return total
+    k, n, width = pp.support_bit, grid.n_qubits, pp.degree + 1
+    if not 0 <= k < n:
+        raise ValueError(f"support_bit must be in [0, {n}), got {k}")
+    coeffs = np.array(pp.regions, dtype=float)
+    taus = 2.0 ** np.arange(n - 1 - k, -1, -1) * grid.spacing
+    tail = np.empty((n - k, width, 2, width))
+    tail[:, :, 0, :] = np.eye(width)
+    tail[:, :, 1, :] = _binomial_shift(taus, pp.degree)
+
+    cores = [np.eye(2 ** (j + 1)).reshape(2**j, 2, 2 ** (j + 1)) for j in range(k - 1)]
+    if k:
+        cores.append(coeffs.reshape(2 ** (k - 1), 2, width))
+        cores.extend(tail)
+    else:
+        cores.append(np.tensordot(coeffs, tail[0], axes=1))
+        cores.extend(tail[1:])
+    cores[-1] = cores[-1][:, :, :1]  # the offset past the last site is 0
+    return Mps(cores)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "SvdConvergenceError",
@@ -127,10 +126,13 @@ def _raw_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError:
         pass
+    # gesvd is slower but converges on matrices that defeat gesdd. scipy is
+    # imported on this rare path only, which keeps it out of package import.
+    import scipy.linalg
+
     try:
-        # gesvd is slower but converges on matrices that defeat gesdd.
         return scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd")
-    except scipy.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise SvdConvergenceError(m.shape[0], m.shape[1]) from exc
 
 

@@ -144,7 +144,7 @@ class Mps:
         nrm = self.norm()
         if nrm <= 0.0 or not np.isfinite(nrm):
             raise ValueError(f"cannot normalize an MPS with norm {nrm}")
-        cores = [c.copy() for c in self.cores]
+        cores = list(self.cores)
         # Scale the core that is not constrained by the canonical form.
         idx = len(cores) - 1 if self.canonical_form == "left" else 0
         cores[idx] = cores[idx] / nrm
@@ -159,7 +159,7 @@ class Mps:
         """
         if form not in ("left", "right"):
             raise ValueError(f"form must be 'left' or 'right', got {form!r}")
-        cores = [c.copy() for c in self.cores]
+        cores = list(self.cores)
         n = len(cores)
         if form == "left":
             for i in range(n - 1):
@@ -191,15 +191,13 @@ class CompressionOptions:
     """Settings for variational fixed-rank compression.
 
     ``convergence_tol`` is the relative change in overlap with the target
-    between consecutive sweeps below which the iteration stops.
-    ``init`` selects the starting ansatz: ``"tt_round"`` (truncated-SVD
-    rounding of the input, deterministic) or ``"random"``.
+    between consecutive sweeps below which the iteration stops. Sweeps
+    start from the truncated-SVD rounding of the input.
     """
 
     target_chi: int = 2
     max_sweeps: int = 50
     convergence_tol: float = 1e-10
-    init: str = "tt_round"
 
     def __post_init__(self):
         if self.target_chi < 1:
@@ -208,8 +206,6 @@ class CompressionOptions:
             raise ValueError("max_sweeps must be >= 1")
         if self.convergence_tol <= 0:
             raise ValueError("convergence_tol must be > 0")
-        if self.init not in ("tt_round", "random"):
-            raise ValueError(f"init must be 'tt_round' or 'random', got {self.init!r}")
 
 
 def to_mps_exact(v, policy: TruncationPolicy | None = None) -> Mps:
@@ -288,7 +284,7 @@ def tt_round(m: Mps, policy: TruncationPolicy) -> Mps:
     The input is right-canonicalized first so each local truncation is
     optimal for the whole state; the result is left-canonical.
     """
-    work = [c.copy() for c in m.canonicalize("right").cores]
+    work = list(m.canonicalize("right").cores)
     n = len(work)
     for i in range(n - 1):
         al, _, ar = work[i].shape
@@ -299,18 +295,7 @@ def tt_round(m: Mps, policy: TruncationPolicy) -> Mps:
     return Mps(work, canonical_form="left")
 
 
-def _random_chain(n: int, chi: int, rng: np.random.Generator) -> list[np.ndarray]:
-    bonds = [min(chi, 2**i, 2 ** (n - i)) for i in range(n + 1)]
-    return [
-        rng.standard_normal((bonds[i], 2, bonds[i + 1])) for i in range(n)
-    ]
-
-
-def compress_als(
-    m: Mps,
-    opts: CompressionOptions,
-    rng: np.random.Generator | None = None,
-) -> Mps:
+def compress_als(m: Mps, opts: CompressionOptions) -> Mps:
     """Best fixed-rank approximation by alternating single-site updates.
 
     Sweeps maximize the overlap with the normalized input one core at a
@@ -324,14 +309,8 @@ def compress_als(
     target = m.normalize().canonicalize("right")
     n = target.n_sites
 
-    if opts.init == "random":
-        gen = rng if rng is not None else np.random.default_rng(0)
-        guess = Mps(_random_chain(n, opts.target_chi, gen)).normalize()
-        guess = guess.canonicalize("right")
-    else:
-        guess = tt_round(target, TruncationPolicy.rank(opts.target_chi))
-        guess = guess.normalize().canonicalize("right")
-    work = [c.copy() for c in guess.cores]
+    guess = tt_round(target, TruncationPolicy.rank(opts.target_chi))
+    work = list(guess.normalize().canonicalize("right").cores)
 
     t_cores = target.cores
     right_env: list[np.ndarray | None] = [None] * (n + 1)

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import DecayFit, chi_bound, fit_decay, max_derivative, optimality_ratio
-from .circuits import Circuit, Gate, circuit_to_mps, validate_circuit
+from .circuits import Circuit, Gate, circuit_to_mps
 from .functions import DistributionSpec, target_amplitudes
 from .mps import (
     CompressionOptions,
@@ -83,11 +83,7 @@ def _sig12(x) -> str:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """All knobs of one encoding run.
-
-    ``seed`` only matters for randomized fallback paths (random
-    compression init); the default pipeline is fully deterministic.
-    """
+    """All knobs of one encoding run; the pipeline is fully deterministic."""
 
     spec: DistributionSpec
     n_qubits: int
@@ -96,7 +92,6 @@ class RunConfig:
     samples_per_region: int = 64
     target_chi: int = 2
     compression: CompressionOptions | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_qubits < 1:
@@ -172,7 +167,6 @@ def _config_echo(config: RunConfig) -> dict:
         "degree": config.degree,
         "samples_per_region": config.samples_per_region,
         "target_chi": config.target_chi,
-        "seed": config.seed,
     }
 
 
@@ -489,7 +483,3 @@ def deserialize_circuit(path) -> Circuit:
         return Circuit(n_qubits=n_qubits, gates=tuple(gates))
     except ValueError as exc:
         raise SchemaError("$.gates", str(exc)) from exc
-
-
-def circuit_validation_ok(circuit: Circuit) -> bool:
-    return validate_circuit(circuit).ok

@@ -7,10 +7,10 @@ from mpsprep import (
     DistributionSpec,
     Grid,
     PiecewisePoly,
-    add,
+    RunConfig,
     assemble,
+    encode,
     fit_piecewise,
-    mask_region,
     pdf,
     poly_mps,
     subdivide,
@@ -45,7 +45,15 @@ class TestPdf:
 
     def test_lorentzian_peak(self):
         spec = DistributionSpec("lorentzian", mu=0.0, sigma=1.0, domain=(-1.0, 1.0))
-        assert pdf(spec, 0.0) == pytest.approx(1 / (2 * np.pi), abs=1e-12)
+        assert pdf(spec, 0.0) == pytest.approx(1 / np.pi, abs=1e-12)
+
+    def test_lorentzian_normalized(self):
+        mu, sigma = 1.0, 0.5
+        spec = DistributionSpec("lorentzian", mu=mu, sigma=sigma, domain=(0.0, 2.0))
+        xs = np.linspace(mu - 1e4 * sigma, mu + 1e4 * sigma, 2_000_001)
+        f = pdf(spec, xs)
+        integral = np.sum((f[1:] + f[:-1]) / 2 * np.diff(xs))
+        assert integral == pytest.approx(1.0, abs=1e-3)
 
     def test_lognormal_at_e(self):
         spec = DistributionSpec("lognormal", mu=1.0, sigma=1.0, domain=(0.5, 5.0))
@@ -155,8 +163,9 @@ class TestFitPiecewise:
         )
         grid = Grid(6, 0.0, 2.0)
         pp = fit_piecewise(spec, grid, 2, 1)
-        for coeffs in pp.regions:
-            assert coeffs[0] == pytest.approx(1.0, abs=1e-10)
+        # local coordinate t = x - x_start: sqrt(pdf) = (x_start + 1) + t
+        for region, coeffs in zip(subdivide(grid, 2), pp.regions):
+            assert coeffs[0] == pytest.approx(region.x_start + 1.0, abs=1e-10)
             assert coeffs[1] == pytest.approx(1.0, abs=1e-10)
 
     def test_gaussian_pointwise_residual(self):
@@ -225,30 +234,40 @@ class TestPolyMps:
 
 
 class TestMaskRegion:
+    """Prefix routing: each region's polynomial appears on its own bit prefix only."""
+
     def test_constant_first_half(self):
-        m = poly_mps([1.0], Grid(3, 0.0, 1.0))
-        masked = mask_region(m, 0, 1)
-        assert np.allclose(masked.to_statevector(), [1, 1, 1, 1, 0, 0, 0, 0])
+        pp = PiecewisePoly(support_bit=1, degree=0, regions=((1.0,), (0.0,)))
+        got = assemble(pp, Grid(3, 0.0, 1.0)).to_statevector()
+        assert np.allclose(got, [1, 1, 1, 1, 0, 0, 0, 0])
 
     def test_linear_second_half(self):
-        m = poly_mps([0.0, 1.0], Grid(2, 0.0, 3.0))
-        masked = mask_region(m, 1, 1)
-        assert np.allclose(masked.to_statevector(), [0, 0, 2, 3], atol=1e-12)
+        # t = x - x_start runs 0, 1 in the second half of [0, 3]
+        pp = PiecewisePoly(support_bit=1, degree=1, regions=((0.0, 0.0), (2.0, 1.0)))
+        got = assemble(pp, Grid(2, 0.0, 3.0)).to_statevector()
+        assert np.allclose(got, [0, 0, 2, 3], atol=1e-12)
 
     def test_partition_of_unity(self, rng):
+        # one polynomial cut into 2^k regions, each re-expanded about its start
+        g = Grid(6, -1.0, 1.0)
+        coeffs = rng.uniform(-1, 1, size=4)
+        want = poly_mps(coeffs, g).to_statevector()
         for k in (1, 2, 3):
-            g = Grid(6, -1.0, 1.0)
-            m = poly_mps(rng.uniform(-1, 1, size=4), g)
-            total = None
-            for j in range(2**k):
-                piece = mask_region(m, j, k)
-                total = piece if total is None else add(total, piece)
-            assert np.max(np.abs(total.to_statevector() - m.to_statevector())) <= 1e-11
+            regions = tuple(
+                tuple(np.polynomial.Polynomial(coeffs)(
+                    np.polynomial.Polynomial([r.x_start, 1.0])).coef)
+                for r in subdivide(g, k)
+            )
+            pp = PiecewisePoly(support_bit=k, degree=3, regions=regions)
+            assert np.max(np.abs(pp.values(g) - want)) <= 1e-12
+            assert np.max(np.abs(assemble(pp, g).to_statevector() - want)) <= 1e-12
 
     def test_region_out_of_range(self):
-        m = poly_mps([1.0], Grid(3, 0.0, 1.0))
-        with pytest.raises(ValueError, match="region_index"):
-            mask_region(m, 2, 1)
+        with pytest.raises(ValueError, match="regions"):
+            PiecewisePoly(support_bit=1, degree=0, regions=((1.0,), (2.0,), (3.0,)))
+        pp = PiecewisePoly(support_bit=2, degree=0, regions=((1.0,),) * 4)
+        with pytest.raises(ValueError, match="support_bit"):
+            assemble(pp, Grid(2, 0.0, 1.0))
 
 
 class TestAssemble:
@@ -270,17 +289,52 @@ class TestAssemble:
         g = Grid(10, 0.0, 2.0)
         pp = fit_piecewise(spec, g, 3, 3)
         m = assemble(pp, g)
-        assert m.max_bond == 32
+        assert m.bond_dims == (1, 2, 4) + (4,) * 7 + (1,)
         assert np.max(np.abs(m.to_statevector() - pp.values(g))) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DistributionSpec("gaussian", mu=1.0, sigma=0.3, domain=(0.0, 2.0)),
+            DistributionSpec("lognormal", mu=1.0, sigma=0.5, domain=(0.0, 5.0)),
+            DistributionSpec("lorentzian", mu=1.0, sigma=0.2, domain=(0.0, 2.0)),
+            DistributionSpec(
+                "custom", domain=(-1.0, 3.0),
+                pdf_fn=lambda x: 1.0 + np.sin(np.asarray(x)) ** 2,
+            ),
+        ],
+        ids=lambda s: s.kind,
+    )
+    def test_matches_values_all_families(self, spec):
+        for n in (4, 9, 16):
+            g = Grid.for_spec(spec, n)
+            for k in (0, 1, 3):
+                pp = fit_piecewise(spec, g, k, 3)
+                want = pp.values(g)
+                got = assemble(pp, g).to_statevector()
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_rank_bound(self, rng):
         g = Grid(8, 0.0, 1.0)
-        for k, p in ((1, 1), (2, 3), (3, 2)):
+        for k, p in ((0, 2), (1, 1), (2, 3), (3, 2), (3, 5)):
             regions = tuple(
                 tuple(rng.uniform(-1, 1, size=p + 1)) for _ in range(2**k)
             )
             pp = PiecewisePoly(support_bit=k, degree=p, regions=regions)
-            assert assemble(pp, g).max_bond <= 2**k * (p + 1)
+            bonds = assemble(pp, g).bond_dims
+            assert all(bonds[j] <= 2**j for j in range(k))
+            assert all(b <= p + 1 for b in bonds[k:])
+
+    def test_translation_invariant(self):
+        for n in (6, 9, 12):
+            fids = []
+            for a in (0.0, 1e6):
+                spec = DistributionSpec(
+                    "gaussian", mu=a + 1.0, sigma=1.0, domain=(a, a + 2.0)
+                )
+                fids.append(encode(RunConfig(spec=spec, n_qubits=n))[1].fidelity)
+            assert fids[0] >= 0.999
+            assert abs(fids[0] - fids[1]) <= 1e-9
 
 
 class TestDiscretizationRefinement:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+import scipy.linalg
+
 from mpsprep import (
+    SvdConvergenceError,
     TruncationPolicy,
     null_space_completion,
     polyfit_least_squares,
@@ -57,6 +60,22 @@ class TestSvd:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="non-finite"):
             svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+    def test_gesvd_fallback(self, rng, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        a = rng.standard_normal((7, 5))
+        monkeypatch.setattr(np.linalg, "svd", diverge)
+        res = svd(a)
+        assert np.linalg.norm(res.reconstruct() - a) <= 1e-10
+        for j in range(res.rank):
+            col = res.u[:, j]
+            assert col[np.abs(col) > 1e-12][0] > 0
+
+        monkeypatch.setattr(scipy.linalg, "svd", diverge)
+        with pytest.raises(SvdConvergenceError, match="7x5"):
+            svd(a)
 
     def test_convergence_error_carries_dimensions(self):
         from mpsprep import SvdConvergenceError

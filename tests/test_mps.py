@@ -227,7 +227,7 @@ class TestTtRound:
         spec = DistributionSpec("gaussian", mu=1.0, sigma=1.0, domain=(0.0, 2.0))
         grid = Grid(10, 0.0, 2.0)
         big = assemble(fit_piecewise(spec, grid, 3, 3), grid)
-        assert big.max_bond == 32
+        assert big.max_bond == 4
         rounded = tt_round(big, TruncationPolicy.rank(2)).normalize()
         dense = big.to_statevector()
         oracle = to_mps_exact(dense, TruncationPolicy.rank(2)).normalize()
@@ -277,13 +277,6 @@ class TestCompressAls:
         assert c.norm() == pytest.approx(1.0, abs=1e-12)
         assert c.canonical_form == "right"
 
-    def test_random_init_path(self, rng):
-        m = random_mps(6, 4, rng)
-        opts = CompressionOptions(target_chi=2, init="random", max_sweeps=30)
-        c = compress_als(m, opts, rng=np.random.default_rng(5))
-        assert c.max_bond <= 2
-        assert abs(overlap(c, m.normalize())) > 0.1
-
     def test_zero_input_rejected(self):
         z = Mps([np.zeros((1, 2, 1)) for _ in range(3)])
         with pytest.raises(ValueError):
@@ -295,7 +288,7 @@ class TestCompressAls:
         with pytest.raises(ValueError):
             CompressionOptions(convergence_tol=0.0)
         with pytest.raises(ValueError):
-            CompressionOptions(init="sideways")
+            CompressionOptions(max_sweeps=0)
 
 
 class TestUnfoldingSpectra:

@@ -38,7 +38,7 @@ class TestEncode:
         assert report.fidelity_vs == "exact_target"
         assert report.gate_count == 10
         assert max(report.compressed_bonds) <= 2
-        assert max(report.assembled_bonds) == 32
+        assert max(report.assembled_bonds) == 4
 
     def test_squeezed_gaussian(self):
         _, report = encode(gaussian_config(n=10, sigma=0.1))
