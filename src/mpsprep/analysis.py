@@ -133,7 +133,6 @@ def max_derivative(spec: DistributionSpec, n_qubits: int) -> float:
 
     Custom densities fall back to central differences at grid resolution.
     """
-    spec = spec.resolved(n_qubits)
     grid = Grid.for_spec(spec, n_qubits)
     xs = grid.points()
     if spec.kind == "custom":

@@ -44,7 +44,7 @@ USAGE_ERROR, NUMERICAL_ERROR, IO_ERROR = 1, 2, 3
 DEFAULT_DOMAINS = {
     "gaussian": (0.0, 2.0),
     "lorentzian": (0.0, 2.0),
-    "lognormal": (0.0, 5.0),  # lower bound auto-shifted off the singularity
+    "lognormal": (0.0, 5.0),  # DistributionSpec pins the lower bound to 0.125
 }
 
 
@@ -84,85 +84,72 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-_CONFIG_KEYS = {
-    "dist": str,
-    "mu": float,
-    "sigma": float,
-    "domain": _parse_domain,
-    "n": int,
-    "k": int,
-    "p": int,
-    "samples": int,
-    "chi": int,
-    "max_sweeps": int,
-    "tol": float,
+# Every run setting once: config-file key -> (the class and field it
+# sets, argparse keywords of its --flag). A setting given neither as a
+# flag nor in the file takes the field's default, except for those in
+# _CLI_DEFAULTS and the per-distribution domain.
+_RUN_KEYS = {
+    "dist": (DistributionSpec, "kind", dict(choices=sorted(DEFAULT_DOMAINS))),
+    "mu": (DistributionSpec, "mu", dict(type=float)),
+    "sigma": (DistributionSpec, "sigma", dict(type=float)),
+    "domain": (DistributionSpec, "domain", dict(type=_parse_domain, metavar="A,B")),
+    "n": (RunConfig, "n_qubits", dict(type=int, help="number of qubits")),
+    "k": (RunConfig, "support_bit", dict(type=int, help="support bit (2^k regions)")),
+    "p": (RunConfig, "degree", dict(type=int, help="polynomial degree")),
+    "samples": (
+        RunConfig, "samples_per_region", dict(type=int, help="fit samples per region")
+    ),
+    "chi": (
+        CompressionOptions, "target_chi", dict(type=int, help="target bond dimension")
+    ),
+    "max_sweeps": (CompressionOptions, "max_sweeps", dict(type=int)),
+    "tol": (
+        CompressionOptions,
+        "convergence_tol",
+        dict(type=float, help="sweep convergence tolerance"),
+    ),
 }
+
+_CLI_DEFAULTS = {"dist": "gaussian", "mu": 1.0, "sigma": 1.0, "n": 10}
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value file supplying defaults")
-    p.add_argument("--dist", choices=sorted(DEFAULT_DOMAINS), default=None)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--domain", type=_parse_domain, default=None, metavar="A,B")
-    p.add_argument("--n", type=int, default=None, help="number of qubits")
-    p.add_argument("--k", type=int, default=None, help="support bit (2^k regions)")
-    p.add_argument("--p", type=int, default=None, help="polynomial degree")
-    p.add_argument("--samples", type=int, default=None, help="fit samples per region")
-    p.add_argument("--chi", type=int, default=None, help="target bond dimension")
-    p.add_argument("--max-sweeps", dest="max_sweeps", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None, help="sweep convergence tolerance")
+    for key, (_, _, flag) in _RUN_KEYS.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key, default=None, **flag)
 
 
-_RUN_DEFAULTS = {
-    "dist": "gaussian",
-    "mu": 1.0,
-    "sigma": 1.0,
-    "domain": None,  # resolved per distribution
-    "n": 10,
-    "k": 3,
-    "p": 3,
-    "samples": 64,
-    "chi": 2,
-    "max_sweeps": 50,
-    "tol": 1e-10,
-}
+def _parse_setting(key: str, raw: str):
+    if key not in _RUN_KEYS:
+        raise ValueError(f"unknown config key {key!r}")
+    flag = _RUN_KEYS[key][2]
+    try:
+        value = flag.get("type", str)(raw)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ValueError(f"config key {key!r}: {exc}") from exc
+    if "choices" in flag and value not in flag["choices"]:
+        raise ValueError(f"config key {key!r} must be one of {flag['choices']}")
+    return value
 
 
 def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
-    file_values: dict = {}
+    values = dict(_CLI_DEFAULTS)
     if args.config:
         for key, raw in _load_config_file(args.config).items():
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"unknown config key {key!r}")
-            file_values[key] = _CONFIG_KEYS[key](raw)
+            values[key] = _parse_setting(key, raw)
+    for key in _RUN_KEYS:
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
+    values.setdefault("domain", DEFAULT_DOMAINS[values["dist"]])
 
-    def pick(name):
-        cli = getattr(args, name, None)
-        if cli is not None:
-            return cli
-        if name in file_values:
-            return file_values[name]
-        return _RUN_DEFAULTS[name]
-
-    dist = pick("dist")
-    domain = pick("domain") or DEFAULT_DOMAINS[dist]
-    spec = DistributionSpec(
-        kind=dist, mu=pick("mu"), sigma=pick("sigma"), domain=domain
-    )
-    opts = CompressionOptions(
-        target_chi=pick("chi"),
-        max_sweeps=pick("max_sweeps"),
-        convergence_tol=pick("tol"),
-    )
+    kwargs = {DistributionSpec: {}, RunConfig: {}, CompressionOptions: {}}
+    for key, value in values.items():
+        owner, name, _ = _RUN_KEYS[key]
+        kwargs[owner][name] = value
     return RunConfig(
-        spec=spec,
-        n_qubits=pick("n"),
-        support_bit=pick("k"),
-        degree=pick("p"),
-        samples_per_region=pick("samples"),
-        target_chi=pick("chi"),
-        compression=opts,
+        spec=DistributionSpec(**kwargs[DistributionSpec]),
+        compression=CompressionOptions(**kwargs[CompressionOptions]),
+        **kwargs[RunConfig],
     )
 
 
@@ -229,7 +216,9 @@ def _cmd_sweep_degree(args) -> int:
 def _cmd_spectra(args) -> int:
     config = _resolve_run_config(args)
     sigmas = args.sigmas or [config.spec.sigma]
-    results = spectra(config.spec, config.n_qubits, sigmas, chi=config.target_chi)
+    results = spectra(
+        config.spec, config.n_qubits, sigmas, chi=config.compression.target_chi
+    )
     lines = ["sigma,beta,alpha,r_squared,chi_bound,max_derivative"]
     for res in results:
         alpha, beta = res.decay.joint

@@ -17,7 +17,8 @@ past cut k is at most degree+1, the TT rank of a degree-p polynomial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -40,6 +41,7 @@ __all__ = [
 ]
 
 _KINDS = ("gaussian", "lognormal", "lorentzian", "custom")
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -47,9 +49,10 @@ class DistributionSpec:
     """A target density: one of the built-in families or a custom callable.
 
     ``domain`` is the closed interval the state discretizes. A lognormal
-    with a lower bound of exactly zero is permitted at construction and
-    resolved to a small positive cutoff by :meth:`resolved` once the qubit
-    count is known.
+    whose lower bound is exactly 0 is pinned at construction to start at
+    2.5 percent of the domain width: enough to clear the singularity and
+    the vanishing left tail at any grid resolution, and independent of
+    the qubit count so targets are comparable across system sizes.
     """
 
     kind: str
@@ -72,20 +75,8 @@ class DistributionSpec:
             raise ValueError("custom distributions need a pdf_fn")
         if self.kind == "lognormal" and a < 0:
             raise ValueError("lognormal support starts at 0; domain must not")
-
-    def resolved(self, n_qubits: int) -> "DistributionSpec":
-        """Pin the domain before gridding.
-
-        A lognormal whose lower bound is exactly 0 is shifted up by 2.5
-        percent of the domain width: enough to clear the singularity and
-        the vanishing left tail at any grid resolution, while keeping the
-        cutoff independent of the qubit count so targets are comparable
-        across system sizes. Other specs are returned unchanged.
-        """
-        a, b = self.domain
         if self.kind == "lognormal" and a == 0.0:
-            return replace(self, domain=((b - a) / 40.0, b))
-        return self
+            object.__setattr__(self, "domain", ((b - a) / 40.0, b))
 
 
 @dataclass(frozen=True)
@@ -101,11 +92,18 @@ class Grid:
             raise ValueError("n_qubits must be >= 1")
         if not (self.a < self.b):
             raise ValueError(f"need a < b, got [{self.a}, {self.b}]")
+        if not math.isfinite(self.width):
+            raise ValueError(f"domain width {self.width} is not finite")
+        # Exact rational test: 2^N - 1 overflows a float from N = 1024 on.
+        if Fraction(self.width) < Fraction(_TINY) * self.n_intervals:
+            raise ValueError(
+                f"{self.n_qubits} qubits on a domain of width {self.width:g} give a "
+                f"grid spacing below the smallest normal float ({_TINY:.3g})"
+            )
 
     @classmethod
     def for_spec(cls, spec: DistributionSpec, n_qubits: int) -> "Grid":
-        a, b = spec.resolved(n_qubits).domain
-        return cls(n_qubits, a, b)
+        return cls(n_qubits, *spec.domain)
 
     @property
     def size(self) -> int:
@@ -173,13 +171,22 @@ def pdf_derivative(spec: DistributionSpec, x):
     return out if out.ndim else float(out)
 
 
+def _sqrt_density(spec: DistributionSpec, xs: np.ndarray) -> np.ndarray:
+    """sqrt(pdf) at xs; a negative or NaN density value is an error naming x."""
+    vals = np.asarray(pdf(spec, xs), dtype=float)
+    bad = ~(vals >= 0)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        v, x = vals.flat[i], xs.flat[i]
+        raise ValueError(
+            f"density {spec.kind!r} is {'negative' if v < 0 else v} at x={x:g}"
+        )
+    return np.sqrt(vals)
+
+
 def target_amplitudes(spec: DistributionSpec, n_qubits: int) -> np.ndarray:
     """Exact normalized amplitude vector: sqrt(pdf) on the grid, unit norm."""
-    grid = Grid.for_spec(spec, n_qubits)
-    vals = np.asarray(pdf(spec.resolved(n_qubits), grid.points()), dtype=float)
-    if np.any(vals < 0):
-        raise ValueError("density is negative on the grid")
-    amps = np.sqrt(vals)
+    amps = _sqrt_density(spec, Grid.for_spec(spec, n_qubits).points())
     nrm = np.linalg.norm(amps)
     if nrm == 0.0:
         raise ValueError("density vanishes on the entire grid")
@@ -272,7 +279,7 @@ def fit_piecewise(
     for region in subdivide(grid, support_bit):
         span = (region.stop - 1 - region.start) * grid.spacing
         ts = np.linspace(0.0, span, samples_per_region)
-        ys = np.sqrt(np.asarray(pdf(spec, region.x_start + ts), dtype=float))
+        ys = _sqrt_density(spec, region.x_start + ts)
         fits.append(tuple(polyfit_least_squares(ts, ys, degree)))
     return PiecewisePoly(support_bit=support_bit, degree=degree, regions=tuple(fits))
 

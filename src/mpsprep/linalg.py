@@ -110,15 +110,10 @@ def _as_matrix(a) -> np.ndarray:
 def _fix_svd_signs(u: np.ndarray, vt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # First nonzero entry of each left singular vector made positive,
     # compensated in the matching right singular vector.
-    u = u.copy()
-    vt = vt.copy()
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        nz = np.nonzero(np.abs(col) > _SIGN_EPS)[0]
-        if len(nz) and col[nz[0]] < 0:
-            u[:, j] = -col
-            vt[j, :] = -vt[j, :]
-    return u, vt
+    big = np.abs(u) > _SIGN_EPS
+    first, cols = np.argmax(big, axis=0), np.arange(u.shape[1])
+    flip = big[first, cols] & (u[first, cols] < 0)
+    return np.where(flip, -u, u), np.where(flip[:, None], -vt, vt)
 
 
 def _raw_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -306,7 +306,9 @@ def compress_als(m: Mps, opts: CompressionOptions) -> Mps:
     the bond dimensions. The result is normalized, right-canonical, and
     never worse than the initialization.
     """
-    target = m.normalize().canonicalize("right")
+    # The environments are overlaps, so they hold in any gauge of the
+    # target; tt_round brings its own copy to right-canonical form.
+    target = m.normalize()
     n = target.n_sites
 
     guess = tt_round(target, TruncationPolicy.rank(opts.target_chi))

@@ -12,7 +12,7 @@ excepted). Circuits round-trip losslessly through a small JSON schema.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -90,22 +90,13 @@ class RunConfig:
     support_bit: int = 3
     degree: int = 3
     samples_per_region: int = 64
-    target_chi: int = 2
-    compression: CompressionOptions | None = None
+    compression: CompressionOptions = CompressionOptions()
 
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be >= 1")
         if not 0 <= self.support_bit < self.n_qubits:
             raise ValueError("need 0 <= support_bit < n_qubits")
-        if self.target_chi < 1:
-            raise ValueError("target_chi must be >= 1")
-
-    def options(self) -> CompressionOptions:
-        opts = self.compression or CompressionOptions()
-        if opts.target_chi != self.target_chi:
-            opts = replace(opts, target_chi=self.target_chi)
-        return opts
 
 
 @dataclass(frozen=True)
@@ -156,7 +147,7 @@ class RunReport:
 
 
 def _config_echo(config: RunConfig) -> dict:
-    spec = config.spec
+    spec, opts = config.spec, config.compression
     return {
         "distribution": spec.kind,
         "mu": spec.mu,
@@ -166,7 +157,9 @@ def _config_echo(config: RunConfig) -> dict:
         "support_bit": config.support_bit,
         "degree": config.degree,
         "samples_per_region": config.samples_per_region,
-        "target_chi": config.target_chi,
+        "target_chi": opts.target_chi,
+        "max_sweeps": opts.max_sweeps,
+        "convergence_tol": opts.convergence_tol,
     }
 
 
@@ -183,13 +176,13 @@ def encode(config: RunConfig, include_decay_fit: bool = False) -> tuple[Circuit,
         config.support_bit,
         config.degree,
         config.samples_per_region,
-        config.options(),
+        config.compression,
     )
     dense_ok = config.n_qubits <= dense_qubit_limit()
     errors = None
     decay = None
     if dense_ok:
-        errors = error_decomposition(config.spec, config.n_qubits, result=result)
+        errors = error_decomposition(result)
         fid = errors.fidelity
         fid_vs = "exact_target"
         if include_decay_fit:
@@ -200,7 +193,7 @@ def encode(config: RunConfig, include_decay_fit: bool = False) -> tuple[Circuit,
         # No dense target available; measure the circuit against the
         # compressed MPS by pure core contractions.
         circ_mps = circuit_to_mps(result.circuit)
-        fid = min(abs(overlap(circ_mps, result.compressed.normalize())), 1.0)
+        fid = min(abs(overlap(circ_mps, result.compressed)), 1.0)
         fid_vs = "compressed_mps"
 
     report = RunReport(
@@ -260,7 +253,7 @@ def _run_cell(config: RunConfig) -> SweepRow:
         "N": config.n_qubits,
         "k": config.support_bit,
         "p": config.degree,
-        "chi": config.target_chi,
+        "chi": config.compression.target_chi,
     }
     try:
         _, report = encode(config)
@@ -339,7 +332,7 @@ def spectra(
     spec: DistributionSpec,
     n_qubits: int,
     sigmas: Sequence[float],
-    chi: int = 2,
+    chi: int = CompressionOptions.target_chi,
 ) -> list[SpectraSummary]:
     """Unfolding spectra and decay fits across a sigma sweep."""
     if n_qubits > dense_qubit_limit():
@@ -387,9 +380,9 @@ def oracle_compare(config: RunConfig) -> OptimalityReport:
         raise ValueError(
             f"oracle comparison needs the dense path (limit {dense_qubit_limit()})"
         )
-    spec = config.spec.resolved(config.n_qubits)
-    exact = target_amplitudes(spec, config.n_qubits)
-    baseline = to_mps_exact(exact, TruncationPolicy.rank(config.target_chi))
+    exact = target_amplitudes(config.spec, config.n_qubits)
+    chi = config.compression.target_chi
+    baseline = to_mps_exact(exact, TruncationPolicy.rank(chi))
     f_optimal = fidelity(exact, baseline.normalize().to_statevector())
 
     circuit, report = encode(config)

@@ -2,10 +2,10 @@
 
 States are dense big-endian float vectors. The simulator applies each
 gate as a contraction over the targeted qubit axes, which is exact and
-norm preserving for orthogonal gates. Error accounting re-runs the whole
-construction (fit, assemble, compress, extract) and attributes the final
-infidelity to its three sources by successive overlap drops; shares are
-each drop divided by the total infidelity.
+norm preserving for orthogonal gates. Error accounting takes one run of
+the construction (fit, assemble, compress, extract) and attributes its
+final infidelity to the three sources by successive overlap drops;
+shares are each drop divided by the total infidelity.
 """
 
 from __future__ import annotations
@@ -100,12 +100,10 @@ def build_pipeline(
     support_bit: int = 3,
     degree: int = 3,
     samples_per_region: int = 64,
-    compression: CompressionOptions | None = None,
+    compression: CompressionOptions = CompressionOptions(),
 ) -> PipelineResult:
     """Run fit, assembly, compression, and gate extraction for one target."""
-    spec = spec.resolved(n_qubits)
     grid = Grid.for_spec(spec, n_qubits)
-    opts = compression if compression is not None else CompressionOptions()
 
     t0 = time.perf_counter()
     with _stage("fit"):
@@ -113,7 +111,7 @@ def build_pipeline(
         assembled = assemble(pp, grid)
     t1 = time.perf_counter()
     with _stage("compress"):
-        compressed = compress_als(assembled, opts)
+        compressed = compress_als(assembled, compression)
     t2 = time.perf_counter()
     with _stage("extract"):
         circuit = extract_circuit(compressed)
@@ -160,24 +158,8 @@ class ErrorDecomposition:
         }
 
 
-def error_decomposition(
-    spec: DistributionSpec,
-    n_qubits: int,
-    support_bit: int = 3,
-    degree: int = 3,
-    samples_per_region: int = 64,
-    compression: CompressionOptions | None = None,
-    result: PipelineResult | None = None,
-) -> ErrorDecomposition:
-    """Attribute the end-to-end infidelity to fit, compression, and gates.
-
-    Pass a prebuilt ``result`` to decompose an existing run instead of
-    rebuilding the pipeline.
-    """
-    if result is None:
-        result = build_pipeline(
-            spec, n_qubits, support_bit, degree, samples_per_region, compression
-        )
+def error_decomposition(result: PipelineResult) -> ErrorDecomposition:
+    """Attribute a run's end-to-end infidelity to fit, compression, and gates."""
     exact = target_amplitudes(result.spec, result.grid.n_qubits)
     pp_state = result.assembled.normalize().to_statevector()
     chi_state = result.compressed.normalize().to_statevector()

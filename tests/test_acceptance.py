@@ -171,11 +171,11 @@ def test_criterion_06_degree_study():
 
 def test_criterion_07_error_share_ordering():
     """Compression dominates everywhere; lognormal has the largest fit share."""
-    from mpsprep import error_decomposition
+    from mpsprep import build_pipeline, error_decomposition
 
     shares = {}
     for spec in ALL_SPECS:
-        dec = error_decomposition(_resigma(spec, 0.1), 7)
+        dec = error_decomposition(build_pipeline(_resigma(spec, 0.1), 7))
         shares[spec.kind] = dec.shares
     compression_dominates = all(
         s["mps"] > s["pp"] and s["mps"] > s["gate"] for s in shares.values()

@@ -37,6 +37,15 @@ class TestGrid:
         for k in (0, 7, 31):
             assert pts[k] == pytest.approx(g.point(k), abs=1e-15)
 
+    def test_spacing_floor(self):
+        # on [0, 2] the spacing 2 / (2^N - 1) drops below the smallest
+        # normal float from N = 1024 on
+        assert Grid(1023, 0.0, 2.0).spacing >= np.finfo(float).tiny
+        with pytest.raises(ValueError, match="1024 qubits on a domain of width 2"):
+            Grid(1024, 0.0, 2.0)
+        with pytest.raises(ValueError, match="not finite"):
+            Grid(4, -1e308, 1e308)
+
 
 class TestPdf:
     def test_gaussian_peak(self):
@@ -84,12 +93,12 @@ class TestPdf:
 
     def test_lognormal_zero_bound_resolution(self):
         spec = DistributionSpec("lognormal", mu=1.0, sigma=0.5, domain=(0.0, 5.0))
-        resolved = spec.resolved(8)
-        assert resolved.domain[0] > 0
-        assert resolved.domain[1] == 5.0
-        # non-lognormal specs pass through untouched
+        assert spec.domain == (0.125, 5.0)  # pinned at construction
+        assert Grid.for_spec(spec, 8).a == 0.125
+        # pinning is idempotent; other specs keep their domain
+        assert DistributionSpec("lognormal", domain=spec.domain).domain == spec.domain
         g = DistributionSpec("gaussian", domain=(0.0, 2.0))
-        assert g.resolved(8) is g
+        assert g.domain == (0.0, 2.0)
 
 
 class TestTargetAmplitudes:
@@ -118,6 +127,33 @@ class TestTargetAmplitudes:
         )
         with pytest.raises(ValueError, match="negative"):
             target_amplitudes(spec, 3)
+
+    def test_bad_density_names_kind_and_x(self):
+        # grid points 0, 1, 2, 3: the density first goes wrong at x = 2
+        negative = DistributionSpec(
+            "custom", domain=(0.0, 3.0), pdf_fn=lambda x: 1.0 - x
+        )
+        with pytest.raises(ValueError, match="density 'custom' is negative at x=2$"):
+            target_amplitudes(negative, 2)
+        nan = DistributionSpec(
+            "custom", domain=(0.0, 3.0), pdf_fn=lambda x: np.where(x > 1.5, np.nan, 1.0)
+        )
+        with pytest.raises(ValueError, match="density 'custom' is nan at x=2$"):
+            target_amplitudes(nan, 2)
+
+    @pytest.mark.parametrize(
+        "pdf_fn, what",
+        [
+            (lambda x: 1.0 - x, "negative"),
+            (lambda x: np.where(x > 1.0, np.nan, 1.0), "nan"),
+        ],
+    )
+    def test_bad_density_through_encode(self, pdf_fn, what):
+        # the first bad fit sample is region 4's first point, x = 64/63
+        spec = DistributionSpec("custom", domain=(0.0, 2.0), pdf_fn=pdf_fn)
+        msg = f"fit stage: density 'custom' is {what} at x=1.01587$"
+        with pytest.raises(ValueError, match=msg):
+            encode(RunConfig(spec=spec, n_qubits=6))
 
 
 class TestSubdivide:

@@ -13,6 +13,20 @@ from mpsprep import (
     truncated_svd,
 )
 from mpsprep.functions import DistributionSpec, pdf
+from mpsprep.linalg import _SIGN_EPS, _fix_svd_signs
+
+
+def _fix_svd_signs_loop(u, vt):
+    # Column-by-column reference for the vectorized sign fix.
+    u = u.copy()
+    vt = vt.copy()
+    for j in range(u.shape[1]):
+        col = u[:, j]
+        nz = np.nonzero(np.abs(col) > _SIGN_EPS)[0]
+        if len(nz) and col[nz[0]] < 0:
+            u[:, j] = -col
+            vt[j, :] = -vt[j, :]
+    return u, vt
 
 
 class TestSvd:
@@ -51,6 +65,24 @@ class TestSvd:
             col = res.u[:, j]
             first = col[np.abs(col) > 1e-12][0]
             assert first > 0
+
+    def test_sign_fix_matches_loop(self, rng):
+        rank_deficient = rng.standard_normal((9, 3)) @ rng.standard_normal((3, 7))
+        leading_zero = rng.standard_normal((6, 5))
+        leading_zero[:2] = 0.0
+        tiny_lead = rng.standard_normal((5, 5))
+        tiny_lead[0] = -1e-13
+        mats = [rng.standard_normal((m, n)) for m, n in ((8, 5), (5, 8), (1, 4))]
+        mats += [rank_deficient, leading_zero, tiny_lead, np.zeros((3, 2))]
+        cases = [np.linalg.svd(a, full_matrices=False)[::2] for a in mats]
+        # a column with no entry above the threshold keeps its signs
+        u, vt = rng.standard_normal((4, 3)), rng.standard_normal((3, 5))
+        u[:, 1] = -1e-13
+        cases.append((u, vt))
+        for u, vt in cases:
+            got, want = _fix_svd_signs(u, vt), _fix_svd_signs_loop(u, vt)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
     def test_sorted_nonincreasing(self, rng):
         res = svd(rng.standard_normal((12, 7)))

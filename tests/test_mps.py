@@ -272,6 +272,17 @@ class TestCompressAls:
         for a, b in zip(fids, fids[1:]):
             assert b >= a - 1e-12
 
+    def test_target_gauge_irrelevant(self, rng):
+        spec = DistributionSpec("gaussian", mu=1.0, sigma=0.3, domain=(0.0, 2.0))
+        grid = Grid(10, 0.0, 2.0)
+        piecewise = assemble(fit_piecewise(spec, grid, 3, 3), grid)
+        for m in (random_mps(8, 8, rng), piecewise):
+            target = m.normalize()
+            opts = CompressionOptions(target_chi=2)
+            f = abs(overlap(compress_als(m, opts), target))
+            f_left = abs(overlap(compress_als(m.canonicalize("left"), opts), target))
+            assert f_left == pytest.approx(f, abs=1e-12)
+
     def test_result_normalized_and_right_canonical(self, rng):
         c = compress_als(random_mps(7, 5, rng), CompressionOptions(target_chi=2))
         assert c.norm() == pytest.approx(1.0, abs=1e-12)

@@ -95,8 +95,33 @@ class TestEncode:
         with pytest.raises(ValueError, match="dense"):
             oracle_compare(gaussian_config(n=8))
 
+    def test_grid_finer_than_float_rejected(self):
+        with pytest.raises(ValueError, match="1060 qubits on a domain of width 2"):
+            encode(gaussian_config(n=1060))
+
+    def test_defaults_have_one_source(self):
+        # the positional defaults of build_pipeline and fit_piecewise, the
+        # spectra chi and the CLI's run settings all equal RunConfig's
+        import inspect
+
+        from mpsprep import build_pipeline, fit_piecewise
+        from mpsprep.cli import _resolve_run_config, build_parser
+
+        def default(fn, name):
+            return inspect.signature(fn).parameters[name].default
+
+        cfg = gaussian_config()
+        assert cfg.compression == CompressionOptions()
+        for name in ("support_bit", "degree", "samples_per_region", "compression"):
+            assert default(build_pipeline, name) == getattr(cfg, name)
+        assert default(fit_piecewise, "samples_per_region") == cfg.samples_per_region
+        assert default(spectra, "chi") == cfg.compression.target_chi
+        cli = _resolve_run_config(build_parser().parse_args(["encode"]))
+        for name in ("support_bit", "degree", "samples_per_region", "compression"):
+            assert getattr(cli, name) == getattr(cfg, name)
+
     def test_rank1_target(self):
-        cfg = gaussian_config(n=7, target_chi=1)
+        cfg = gaussian_config(n=7, compression=CompressionOptions(target_chi=1))
         circuit, report = encode(cfg)
         assert max(report.compressed_bonds) == 1
         assert report.gate_count == 7
@@ -123,7 +148,6 @@ class TestSweeps:
         csv = render_csv(sweep_sigma(gaussian_config(n=5), []))
         assert csv == ",".join(CSV_COLUMNS) + "\n"
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
     def test_failed_cell_recorded(self):
         bad = DistributionSpec(
             "custom", domain=(0.0, 1.0), pdf_fn=lambda x: -np.ones_like(np.asarray(x))
@@ -298,6 +322,14 @@ class TestCli:
         assert circuit.n_qubits == 8
         report = json.loads(rep.read_text())
         assert report["fidelity"] >= 0.999
+        assert report["config"]["max_sweeps"] == 50
+        assert report["config"]["convergence_tol"] == 1e-10
+
+    def test_report_echoes_gridded_lognormal_domain(self, tmp_path):
+        rep = tmp_path / "report.json"
+        code = main(["encode", "--dist", "lognormal", "--n", "6", "--report", str(rep)])
+        assert code == 0
+        assert json.loads(rep.read_text())["config"]["domain"] == [0.125, 5.0]
 
     def test_validate_roundtrip(self, tmp_path, capsys):
         circ = tmp_path / "circuit.json"
@@ -378,6 +410,10 @@ class TestCli:
     def test_unknown_config_key_rejected(self, tmp_path):
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text("qubits = 9\n")
+        assert main(["encode", "--config", str(cfgfile)]) == 2
+        cfgfile.write_text("dist = cauchy\n")
+        assert main(["encode", "--config", str(cfgfile)]) == 2
+        cfgfile.write_text("domain = 1\n")
         assert main(["encode", "--config", str(cfgfile)]) == 2
 
     def test_sweep_degree_cli(self, tmp_path):

@@ -5,6 +5,7 @@ from mpsprep import (
     Circuit,
     DistributionSpec,
     Gate,
+    build_pipeline,
     error_decomposition,
     extract_circuit,
     fidelity,
@@ -92,7 +93,7 @@ class TestErrorDecomposition:
         spec = DistributionSpec(
             "custom", domain=(0.0, 2.0), pdf_fn=lambda x: (np.asarray(x) + 1.0) ** 2
         )
-        dec = error_decomposition(spec, 8, support_bit=0, degree=1)
+        dec = error_decomposition(build_pipeline(spec, 8, support_bit=0, degree=1))
         assert dec.pp_error <= 1e-8
         assert dec.mps_error <= 1e-8
         assert dec.gate_error <= 1e-8
@@ -101,7 +102,7 @@ class TestErrorDecomposition:
 
     def test_compression_dominates_squeezed_gaussian(self):
         spec = DistributionSpec("gaussian", mu=1.0, sigma=0.1, domain=(0.0, 2.0))
-        dec = error_decomposition(spec, 7)
+        dec = error_decomposition(build_pipeline(spec, 7))
         shares = dec.shares
         assert shares["mps"] > shares["pp"]
         assert shares["mps"] > shares["gate"]
@@ -109,13 +110,13 @@ class TestErrorDecomposition:
     def test_lognormal_fit_share_exceeds_gaussian(self):
         logn = DistributionSpec("lognormal", mu=1.0, sigma=0.1, domain=(0.0, 5.0))
         gauss = DistributionSpec("gaussian", mu=1.0, sigma=0.1, domain=(0.0, 2.0))
-        s_logn = error_decomposition(logn, 7).shares["pp"]
-        s_gauss = error_decomposition(gauss, 7).shares["pp"]
+        s_logn = error_decomposition(build_pipeline(logn, 7)).shares["pp"]
+        s_gauss = error_decomposition(build_pipeline(gauss, 7)).shares["pp"]
         assert s_logn > s_gauss
 
     @pytest.mark.parametrize("sigma", [0.1, 0.6, 1.0])
     def test_composition_consistency(self, sigma):
         spec = DistributionSpec("gaussian", mu=1.0, sigma=sigma, domain=(0.0, 2.0))
-        dec = error_decomposition(spec, 8)
+        dec = error_decomposition(build_pipeline(spec, 8))
         product = (1 - dec.pp_error) * (1 - dec.mps_error) * (1 - dec.gate_error)
         assert 1 - dec.total >= product - 1e-6
