@@ -108,22 +108,23 @@ def _final_gate_from_core(core: np.ndarray) -> np.ndarray:
 def extract_circuit(m: Mps) -> Circuit:
     """Build the staircase preparation circuit for a normalized rank<=2 MPS.
 
-    The input is right-canonicalized internally. Gate t (t < N-1) is a
-    two-qubit gate on (t, t+1); the last gate is a single-qubit gate on
-    qubit N-1. Applying them in list order to |0...0> reproduces every
-    amplitude of the input exactly, up to floating point, because a
-    single staircase layer is exact whenever no bond exceeds the physical
-    dimension.
+    The input is right-canonicalized internally, since public input may
+    come in any gauge; its norm is then the norm of core 0, which must be
+    1 to within 1e-8. Gate t (t < N-1) is a two-qubit gate on (t, t+1);
+    the last gate is a single-qubit gate on qubit N-1. Applying them in
+    list order to |0...0> reproduces every amplitude of the input exactly,
+    up to floating point, because a single staircase layer is exact
+    whenever no bond exceeds the physical dimension.
     """
     if m.max_bond > 2:
         raise ValueError(
             f"max bond dimension is {m.max_bond}; compress to 2 or less "
             "(e.g. with compress_als) before extracting gates"
         )
-    nrm = m.norm()
+    canon = m.canonicalize("right")
+    nrm = float(np.linalg.norm(canon.cores[0]))
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"input must be normalized, got norm {nrm!r}")
-    canon = m.canonicalize("right")
 
     gates = []
     for i in range(canon.n_sites - 1):
@@ -158,7 +159,7 @@ def circuit_to_mps(c: Circuit) -> Mps:
     final = c.gates[-1].matrix
     al = 1 if c.n_qubits == 1 else 2
     cores.append(final[:, :al].T.reshape(al, 2, 1))
-    return Mps(cores, canonical_form="right")
+    return Mps(cores)
 
 
 @dataclass(frozen=True)

@@ -192,8 +192,10 @@ def _cmd_sweep_sigma(args) -> int:
     for d in dists:
         if d not in DEFAULT_DOMAINS:
             raise ValueError(f"unknown distribution {d!r}")
-        domain = args.domain or DEFAULT_DOMAINS[d]
-        specs.append(replace(config.spec, kind=d, domain=domain, pdf_fn=None))
+        # Resolved as if given by --dist: the domain from the flag or the
+        # file if either has one, else this family's default.
+        family = argparse.Namespace(**{**vars(args), "dist": d})
+        specs.append(_resolve_run_config(family).spec)
     n_values = args.n_list or [config.n_qubits]
     rows = sweep_sigma(config, args.sigmas, specs=specs, n_values=n_values)
     _write_text(args.out, render_csv(rows))

@@ -69,14 +69,13 @@ class Mps:
     cores:
         Sequence of 3-d arrays. Core ``i`` has shape ``(a_i, 2, a_{i+1})``
         with ``a_0 = a_N = 1`` and matching interior bonds.
-    canonical_form:
-        ``None``, ``"left"`` or ``"right"``; purely informational and set
-        by the operations that establish the property.
+
+    No norm or gauge is recorded; the stage that needs one establishes it.
     """
 
-    __slots__ = ("cores", "canonical_form")
+    __slots__ = ("cores",)
 
-    def __init__(self, cores, canonical_form: str | None = None):
+    def __init__(self, cores):
         stored = []
         for i, c in enumerate(cores):
             arr = np.array(c, dtype=float)
@@ -99,7 +98,6 @@ class Mps:
                     f"{stored[i].shape[2]} vs {stored[i + 1].shape[0]}"
                 )
         self.cores = tuple(stored)
-        self.canonical_form = canonical_form
 
     @property
     def n_sites(self) -> int:
@@ -140,15 +138,14 @@ class Mps:
         return float(np.sqrt(max(overlap(self, self), 0.0)))
 
     def normalize(self) -> "Mps":
-        """Rescale so the encoded vector has unit 2-norm."""
+        """Rescale core 0 to unit 2-norm, which keeps right-canonical form.
+
+        The norm comes from ``overlap(self, self)``, so it must be below ~1e154.
+        """
         nrm = self.norm()
         if nrm <= 0.0 or not np.isfinite(nrm):
             raise ValueError(f"cannot normalize an MPS with norm {nrm}")
-        cores = list(self.cores)
-        # Scale the core that is not constrained by the canonical form.
-        idx = len(cores) - 1 if self.canonical_form == "left" else 0
-        cores[idx] = cores[idx] / nrm
-        return Mps(cores, canonical_form=self.canonical_form)
+        return Mps((self.cores[0] / nrm,) + self.cores[1:])
 
     def canonicalize(self, form: str) -> "Mps":
         """Return an equivalent MPS in left or right canonical form.
@@ -177,13 +174,10 @@ class Mps:
                 cores[i] = q.T.reshape(k, 2, ar)
                 prev = cores[i - 1]
                 cores[i - 1] = np.tensordot(prev, r.T, axes=([2], [0]))
-        return Mps(cores, canonical_form=form)
+        return Mps(cores)
 
     def __repr__(self) -> str:
-        return (
-            f"Mps(n_sites={self.n_sites}, max_bond={self.max_bond}, "
-            f"canonical_form={self.canonical_form!r})"
-        )
+        return f"Mps(n_sites={self.n_sites}, max_bond={self.max_bond})"
 
 
 @dataclass(frozen=True)
@@ -241,7 +235,7 @@ def to_mps_exact(v, policy: TruncationPolicy | None = None) -> Mps:
         c = res.s[:keep, None] * res.vt[:keep, :]
         left = keep
     cores.append(c.reshape(left, 2, 1))
-    return Mps(cores, canonical_form="left")
+    return Mps(cores)
 
 
 def add(a: Mps, b: Mps) -> Mps:
@@ -292,29 +286,28 @@ def tt_round(m: Mps, policy: TruncationPolicy) -> Mps:
         work[i] = res.u.reshape(al, 2, res.rank)
         carry = res.s[:, None] * res.vt
         work[i + 1] = np.tensordot(carry, work[i + 1], axes=([1], [0]))
-    return Mps(work, canonical_form="left")
+    return Mps(work)
 
 
 def compress_als(m: Mps, opts: CompressionOptions) -> Mps:
     """Best fixed-rank approximation by alternating single-site updates.
 
-    Sweeps maximize the overlap with the normalized input one core at a
-    time. The ansatz is kept in mixed-canonical form, so each local
-    problem reduces to contracting the cached boundary environments with
-    the target core; the overlap after a site update equals that core's
-    norm. Each sweep costs O(N) contractions whose size depends only on
-    the bond dimensions. The result is normalized, right-canonical, and
-    never worse than the initialization.
+    Sweeps maximize the overlap with the input, taken in any gauge and
+    unnormalized: the cached boundary environments are linear in it and
+    each half sweep divides its end core by that core's norm, so a norm
+    of order 2^(N/2) (assembled states up to N = 1023) is never squared.
+    Each local problem contracts the environments with one target core;
+    a sweep costs O(N) contractions sized by the bond dimensions. The
+    result is normalized, right-canonical, and never worse than the
+    truncated-SVD rounding it starts from. A zero input is rejected.
     """
-    # The environments are overlaps, so they hold in any gauge of the
-    # target; tt_round brings its own copy to right-canonical form.
-    target = m.normalize()
-    n = target.n_sites
+    n = m.n_sites
+    guess = tt_round(m, TruncationPolicy.rank(opts.target_chi))
+    work = list(guess.canonicalize("right").cores)
+    if not np.any(work[0]):
+        raise ValueError("cannot compress the zero state")
 
-    guess = tt_round(target, TruncationPolicy.rank(opts.target_chi))
-    work = list(guess.normalize().canonicalize("right").cores)
-
-    t_cores = target.cores
+    t_cores = m.cores
     right_env: list[np.ndarray | None] = [None] * (n + 1)
     left_env: list[np.ndarray | None] = [None] * (n + 1)
     right_env[n] = np.ones((1, 1))
@@ -327,7 +320,14 @@ def compress_als(m: Mps, opts: CompressionOptions) -> Mps:
         tmp = np.tensordot(left_env[i], t_cores[i], axes=([1], [0]))  # (a, s, d)
         return np.tensordot(tmp, right_env[i + 1], axes=([2], [1]))  # (a, s, c)
 
-    fidelity = -np.inf
+    def unit_end_core(i: int) -> tuple[np.ndarray, float]:
+        b = local_target(i)
+        nrm = np.linalg.norm(b)
+        if nrm == 0.0:
+            raise ValueError("target is orthogonal to the compression ansatz")
+        return b / nrm, float(nrm)
+
+    ovl = -np.inf
     for _ in range(opts.max_sweeps):
         # Left-to-right half sweep.
         for i in range(n - 1):
@@ -337,11 +337,7 @@ def compress_als(m: Mps, opts: CompressionOptions) -> Mps:
             work[i] = q.reshape(al, 2, q.shape[1])
             tmp = np.tensordot(left_env[i], work[i], axes=([0], [0]))  # (b, s, c)
             left_env[i + 1] = np.tensordot(tmp, t_cores[i], axes=([0, 1], [0, 1]))
-        b = local_target(n - 1)
-        nrm = np.linalg.norm(b)
-        if nrm == 0.0:
-            raise ValueError("target is orthogonal to the compression ansatz")
-        work[n - 1] = b / nrm
+        work[n - 1], _ = unit_end_core(n - 1)
 
         # Right-to-left half sweep.
         for i in range(n - 1, 0, -1):
@@ -351,19 +347,15 @@ def compress_als(m: Mps, opts: CompressionOptions) -> Mps:
             work[i] = q.T.reshape(q.shape[1], 2, ar)
             tmp = np.tensordot(work[i], right_env[i + 1], axes=([2], [0]))
             right_env[i] = np.tensordot(tmp, t_cores[i], axes=([1, 2], [1, 2]))
-        b = local_target(0)
-        nrm = np.linalg.norm(b)
-        if nrm == 0.0:
-            raise ValueError("target is orthogonal to the compression ansatz")
-        work[0] = b / nrm
+        work[0], nrm = unit_end_core(0)
 
-        prev, fidelity = fidelity, float(nrm)
-        if prev > -np.inf and abs(fidelity - prev) <= opts.convergence_tol * max(
-            abs(fidelity), 1e-300
+        prev, ovl = ovl, nrm
+        if prev > -np.inf and abs(ovl - prev) <= opts.convergence_tol * max(
+            abs(ovl), 1e-300
         ):
             break
 
-    return Mps(work, canonical_form="right")
+    return Mps(work)
 
 
 def unfolding_spectra(v) -> list[np.ndarray]:

@@ -18,22 +18,16 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import DecayFit, chi_bound, fit_decay, max_derivative, optimality_ratio
-from .circuits import Circuit, Gate, circuit_to_mps
+from .circuits import Circuit, Gate
 from .functions import DistributionSpec, target_amplitudes
-from .mps import (
-    CompressionOptions,
-    dense_qubit_limit,
-    overlap,
-    to_mps_exact,
-    unfolding_spectra,
-)
+from .mps import CompressionOptions, dense_qubit_limit, to_mps_exact, unfolding_spectra
 from .linalg import TruncationPolicy
 from .simulate import (
     ErrorDecomposition,
+    _gate_fidelity,
     build_pipeline,
     error_decomposition,
     fidelity,
-    run,
 )
 
 __all__ = [
@@ -168,6 +162,7 @@ def encode(config: RunConfig, include_decay_fit: bool = False) -> tuple[Circuit,
 
     When the register fits the dense limit, fidelity is measured against
     the exact target state; otherwise only against the compressed MPS,
+    by the same MPS overlap that gives ``gate_error`` below the limit,
     and the report says so.
     """
     result = build_pipeline(
@@ -190,10 +185,7 @@ def encode(config: RunConfig, include_decay_fit: bool = False) -> tuple[Circuit,
                 unfolding_spectra(target_amplitudes(result.spec, config.n_qubits))
             )
     else:
-        # No dense target available; measure the circuit against the
-        # compressed MPS by pure core contractions.
-        circ_mps = circuit_to_mps(result.circuit)
-        fid = min(abs(overlap(circ_mps, result.compressed)), 1.0)
+        fid = _gate_fidelity(result)
         fid_vs = "compressed_mps"
 
     report = RunReport(

@@ -11,8 +11,10 @@ from mpsprep import (
     Gate,
     RunConfig,
     SchemaError,
+    build_pipeline,
     deserialize_circuit,
     encode,
+    error_decomposition,
     fidelity,
     oracle_compare,
     render_csv,
@@ -95,6 +97,14 @@ class TestEncode:
         with pytest.raises(ValueError, match="dense"):
             oracle_compare(gaussian_config(n=8))
 
+    def test_unnormalized_norm_beyond_float_square(self):
+        # The assembled state's norm is of order 2^(N/2); its square
+        # overflows, so no stage may normalize it by overlap(m, m).
+        spec = DistributionSpec("lorentzian", mu=1.0, sigma=0.1, domain=(0.0, 2.0))
+        _, report = encode(RunConfig(spec=spec, n_qubits=1016))
+        assert report.fidelity_vs == "compressed_mps"
+        assert report.fidelity >= 1.0 - 1e-10
+
     def test_grid_finer_than_float_rejected(self):
         with pytest.raises(ValueError, match="1060 qubits on a domain of width 2"):
             encode(gaussian_config(n=1060))
@@ -126,6 +136,46 @@ class TestEncode:
         assert max(report.compressed_bonds) == 1
         assert report.gate_count == 7
         assert 0.9 < report.fidelity <= 1.0
+
+
+class TestErrorDecompositionReference:
+    DOMAINS = {
+        "gaussian": (0.0, 2.0), "lorentzian": (0.0, 2.0), "lognormal": (0.0, 5.0)
+    }
+
+    @staticmethod
+    def dense_reference(result):
+        # The four-dense-vector formulas: every figure from 2^N vectors.
+        exact = target_amplitudes(result.spec, result.grid.n_qubits)
+        pp_state = result.assembled.normalize().to_statevector()
+        chi_state = result.compressed.normalize().to_statevector()
+        circ_state = run(result.circuit)
+        return (
+            1.0 - fidelity(exact, pp_state),
+            1.0 - fidelity(pp_state, chi_state),
+            1.0 - fidelity(chi_state, circ_state),
+            1.0 - fidelity(exact, circ_state),
+        )
+
+    @pytest.mark.parametrize("kind", sorted(DOMAINS))
+    def test_matches_dense_formulas(self, kind):
+        spec = DistributionSpec(kind, mu=1.0, sigma=0.44, domain=self.DOMAINS[kind])
+        for n in (8, 13, 16):
+            for p in (3, 5):
+                result = build_pipeline(spec, n, degree=p)
+                dec = error_decomposition(result)
+                got = (dec.pp_error, dec.mps_error, dec.gate_error, dec.total)
+                want = self.dense_reference(result)
+                assert np.max(np.abs(np.subtract(got, want))) <= 1e-12, (n, p)
+
+    def test_above_limit_fidelity_is_gate_overlap(self, monkeypatch):
+        cfg = gaussian_config(n=10, sigma=0.3)
+        result = build_pipeline(cfg.spec, cfg.n_qubits)
+        gate_err = error_decomposition(result).gate_error
+        monkeypatch.setenv("MPSPREP_DENSE_LIMIT", "8")
+        _, report = encode(cfg)
+        assert report.fidelity_vs == "compressed_mps"
+        assert abs(report.fidelity - (1.0 - gate_err)) <= 1e-14
 
 
 class TestSweeps:
@@ -360,6 +410,23 @@ class TestCli:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 5
+
+    def test_sweep_sigma_config_domain(self, tmp_path):
+        # a domain from the config file counts like the same --domain flag
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("domain = 0,4\n")
+        rows = []
+        for extra in (["--config", str(cfgfile)], ["--domain", "0,4"]):
+            out = tmp_path / "rows.csv"
+            args = ["sweep-sigma", "--sigmas", "1", "--n", "8", "--out", str(out)]
+            assert main(args + extra) == 0
+            header, row = out.read_text().strip().split("\n")
+            rows.append(dict(zip(header.split(","), row.split(","))))
+        for row in rows:
+            for col in ("t_fit_ms", "t_compress_ms", "t_extract_ms"):
+                del row[col]
+        assert rows[0] == rows[1]
+        assert rows[0]["fidelity"] == "0.999979414826"
 
     def test_spectra_csv(self, tmp_path):
         out = tmp_path / "spec.csv"
