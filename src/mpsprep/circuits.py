@@ -45,7 +45,12 @@ class Gate:
                 f"{len(self.qubits)}-qubit gate needs a {want}x{want} matrix, "
                 f"got {mat.shape}"
             )
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        qubits = tuple(int(q) for q in self.qubits)
+        if len(qubits) == 2 and qubits[0] == qubits[1]:
+            raise ValueError(
+                f"gate qubits must be distinct; qubit {qubits[0]} is repeated"
+            )
+        object.__setattr__(self, "qubits", qubits)
         object.__setattr__(self, "matrix", mat)
 
     def orthogonality_deviation(self) -> float:

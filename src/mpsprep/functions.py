@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import polyfit_least_squares
-from .mps import Mps
+from .mps import Mps, _check_dense
 
 __all__ = [
     "DistributionSpec",
@@ -186,6 +186,7 @@ def _sqrt_density(spec: DistributionSpec, xs: np.ndarray) -> np.ndarray:
 
 def target_amplitudes(spec: DistributionSpec, n_qubits: int) -> np.ndarray:
     """Exact normalized amplitude vector: sqrt(pdf) on the grid, unit norm."""
+    _check_dense(n_qubits, "target_amplitudes")
     amps = _sqrt_density(spec, Grid.for_spec(spec, n_qubits).points())
     nrm = np.linalg.norm(amps)
     if nrm == 0.0:
@@ -250,10 +251,16 @@ class PiecewisePoly:
 
     def values(self, grid: Grid) -> np.ndarray:
         """Evaluate the piecewise polynomial at every grid point."""
+        _check_dense(grid.n_qubits, "PiecewisePoly.values")
         block = subdivide(grid, self.support_bit)[0].stop
         ts = np.arange(block) * grid.spacing
-        coeffs = np.array(self.regions, dtype=float).T
-        return np.polynomial.polynomial.polyval(ts, coeffs).reshape(-1)
+        coeffs = np.array(self.regions, dtype=float).T[:, :, None]
+        # Horner's rule in place on one (regions, block) array.
+        out = coeffs[-1] + ts * 0
+        for c in coeffs[-2::-1]:
+            out *= ts
+            out += c
+        return out.reshape(-1)
 
 
 def fit_piecewise(

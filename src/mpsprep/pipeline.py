@@ -20,7 +20,13 @@ import numpy as np
 from .analysis import DecayFit, chi_bound, fit_decay, max_derivative, optimality_ratio
 from .circuits import Circuit, Gate
 from .functions import DistributionSpec, target_amplitudes
-from .mps import CompressionOptions, dense_qubit_limit, to_mps_exact, unfolding_spectra
+from .mps import (
+    CompressionOptions,
+    _check_dense,
+    dense_qubit_limit,
+    to_mps_exact,
+    unfolding_spectra,
+)
 from .linalg import TruncationPolicy
 from .simulate import (
     ErrorDecomposition,
@@ -327,10 +333,7 @@ def spectra(
     chi: int = CompressionOptions.target_chi,
 ) -> list[SpectraSummary]:
     """Unfolding spectra and decay fits across a sigma sweep."""
-    if n_qubits > dense_qubit_limit():
-        raise ValueError(
-            f"spectral analysis needs the dense path (limit {dense_qubit_limit()})"
-        )
+    _check_dense(n_qubits, "spectra")
     out = []
     for sigma in sigmas:
         s = replace(spec, sigma=sigma)
@@ -368,10 +371,6 @@ def oracle_compare(config: RunConfig) -> OptimalityReport:
     with the exact target than the per-cut-optimal truncation) and is
     flagged.
     """
-    if config.n_qubits > dense_qubit_limit():
-        raise ValueError(
-            f"oracle comparison needs the dense path (limit {dense_qubit_limit()})"
-        )
     exact = target_amplitudes(config.spec, config.n_qubits)
     chi = config.compression.target_chi
     baseline = to_mps_exact(exact, TruncationPolicy.rank(chi))

@@ -1,13 +1,18 @@
 """Exact statevector simulation and stage-by-stage error accounting.
 
-States are dense big-endian float vectors. The simulator applies each
-gate as a contraction over the targeted qubit axes, which is exact and
-norm preserving for orthogonal gates. Error accounting takes one run of
-the construction (fit, assemble, compress, extract) and attributes its
-final infidelity to the three sources by successive overlap drops;
-shares are each drop divided by the total infidelity. Figures against
-the exact target are dense; compression and gate drops are exact MPS
-overlaps, with no 2^N vector.
+States are dense big-endian float vectors. The simulator applies the
+gates one at a time and stores only the qubits some gate has touched:
+an untouched qubit is |0> and joins the state when a gate first acts on
+it. A gate on the last stored qubits is one reshape and matmul, any
+other gate a contraction over its qubit axes; both are exact up to
+rounding and norm preserving for orthogonal gates. A staircase thus
+costs about as much as its output.
+
+Error accounting takes one run of the construction (fit, assemble,
+compress, extract) and attributes its final infidelity to the three
+sources by successive overlap drops; shares are each drop divided by
+the total infidelity. Figures against the exact target are dense;
+compression and gate drops are exact MPS overlaps, with no 2^N vector.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .functions import (
     assemble,
     target_amplitudes,
 )
-from .mps import CompressionOptions, Mps, compress_als, dense_qubit_limit, overlap
+from .mps import CompressionOptions, Mps, _check_dense, compress_als, overlap
 
 __all__ = [
     "run",
@@ -40,23 +45,44 @@ __all__ = [
 
 
 def run(c: Circuit) -> np.ndarray:
-    """Apply a circuit to |0...0> and return the dense state."""
-    if c.n_qubits > dense_qubit_limit():
-        raise ValueError(
-            f"{c.n_qubits} qubits exceeds the dense limit of {dense_qubit_limit()} "
-            "(set MPSPREP_DENSE_LIMIT to raise it)"
-        )
-    psi = np.zeros((2,) * c.n_qubits)
-    psi[(0,) * c.n_qubits] = 1.0
+    """Apply a circuit to |0...0> and return the dense big-endian state.
+
+    Gates are applied one by one, in list order, on any qubits. A qubit
+    that no gate has touched yet is |0> and is not stored; it joins the
+    state as a new last axis when a gate first acts on it. A gate on the
+    last k stored axes, in order, is one matmul ``(2^a, 2^k) @ G.T`` on a
+    reshaped view of the state; any other layout is a ``tensordot`` over
+    the gate's axes. Untouched qubits are appended at the end and the
+    axes put in big-endian qubit order.
+    """
+    _check_dense(c.n_qubits, "run")
+    held: list[int] = []  # qubit stored on each axis, in axis order
+    psi = np.ones(())
     for gate in c.gates:
-        axes = gate.qubits
-        if len(set(axes)) != len(axes):
-            raise ValueError(f"gate qubits must be distinct, got {axes}")
+        joining = [q for q in gate.qubits if q not in held]
+        psi = _join_zero(psi, len(joining))
+        held += joining
+        axes = tuple(held.index(q) for q in gate.qubits)
         k = len(axes)
-        g = gate.matrix.reshape((2,) * (2 * k))
-        psi = np.tensordot(g, psi, axes=(tuple(range(k, 2 * k)), axes))
-        psi = np.moveaxis(psi, tuple(range(k)), axes)
-    return psi.reshape(-1)
+        if axes == tuple(range(psi.ndim - k, psi.ndim)):
+            out = psi.reshape(-1, 2**k) @ gate.matrix.T
+            psi = out.reshape(psi.shape)
+        else:
+            g = gate.matrix.reshape((2,) * (2 * k))
+            psi = np.tensordot(g, psi, axes=(tuple(range(k, 2 * k)), axes))
+            psi = np.moveaxis(psi, tuple(range(k)), axes)
+    idle = [q for q in range(c.n_qubits) if q not in held]
+    psi = _join_zero(psi, len(idle))
+    return np.transpose(psi, np.argsort(held + idle)).reshape(-1)
+
+
+def _join_zero(psi: np.ndarray, count: int) -> np.ndarray:
+    # psi (x) |0...0> on `count` new last axes.
+    if count == 0:
+        return psi
+    out = np.zeros(psi.shape + (2,) * count)
+    out[(...,) + (0,) * count] = psi
+    return out
 
 
 def fidelity(a, b) -> float:
@@ -168,7 +194,7 @@ def _gate_fidelity(result: PipelineResult) -> float:
 
 def error_decomposition(result: PipelineResult) -> ErrorDecomposition:
     """Attribute a run's end-to-end infidelity to fit, compression, and gates."""
-    circ_state = run(result.circuit)  # first: it enforces the dense limit
+    circ_state = run(result.circuit)
     exact = target_amplitudes(result.spec, result.grid.n_qubits)
     pp_values = result.piecewise.values(result.grid)
 

@@ -152,6 +152,10 @@ class TestGateAndCircuitTypes:
         with pytest.raises(ValueError, match="one or two"):
             Gate((0, 1, 2), np.eye(8))
 
+    def test_repeated_qubit_rejected(self):
+        with pytest.raises(ValueError, match="qubit 1 is repeated"):
+            Gate((1, 1), np.eye(4))
+
     def test_circuit_qubit_bounds(self):
         with pytest.raises(ValueError, match="register"):
             Circuit(n_qubits=2, gates=(Gate((1, 2), np.eye(4)),))

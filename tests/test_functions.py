@@ -155,6 +155,12 @@ class TestTargetAmplitudes:
         with pytest.raises(ValueError, match=msg):
             encode(RunConfig(spec=spec, n_qubits=6))
 
+    def test_dense_limit(self, monkeypatch):
+        monkeypatch.setenv("MPSPREP_DENSE_LIMIT", "4")
+        spec = DistributionSpec("gaussian", mu=1.0, sigma=1.0, domain=(0.0, 2.0))
+        with pytest.raises(ValueError, match="target_amplitudes .*limit"):
+            target_amplitudes(spec, 10)
+
 
 class TestSubdivide:
     def test_halving(self):
@@ -306,6 +312,42 @@ class TestMaskRegion:
             assemble(pp, Grid(2, 0.0, 1.0))
 
 
+FAMILIES = [
+    DistributionSpec("gaussian", mu=1.0, sigma=0.3, domain=(0.0, 2.0)),
+    DistributionSpec("lognormal", mu=1.0, sigma=0.5, domain=(0.0, 5.0)),
+    DistributionSpec("lorentzian", mu=1.0, sigma=0.2, domain=(0.0, 2.0)),
+    DistributionSpec(
+        "custom", domain=(-1.0, 3.0),
+        pdf_fn=lambda x: 1.0 + np.sin(np.asarray(x)) ** 2,
+    ),
+]
+
+
+class TestPiecewiseValues:
+    @staticmethod
+    def _polyval_values(pp, grid):
+        # The numpy polyval evaluation that `values` replaced, kept as the reference.
+        block = subdivide(grid, pp.support_bit)[0].stop
+        ts = np.arange(block) * grid.spacing
+        coeffs = np.array(pp.regions, dtype=float).T
+        return np.polynomial.polynomial.polyval(ts, coeffs).reshape(-1)
+
+    @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.kind)
+    def test_matches_polyval_bit_for_bit(self, spec):
+        for n in (4, 9, 16):
+            g = Grid.for_spec(spec, n)
+            for k in (0, 1, 3):
+                for p in (0, 1, 3, 5):
+                    pp = fit_piecewise(spec, g, k, p)
+                    assert np.array_equal(pp.values(g), self._polyval_values(pp, g))
+
+    def test_dense_limit(self, monkeypatch):
+        monkeypatch.setenv("MPSPREP_DENSE_LIMIT", "4")
+        pp = PiecewisePoly(support_bit=1, degree=1, regions=((1.0, 0.5), (2.0, -0.5)))
+        with pytest.raises(ValueError, match="PiecewisePoly.values .*limit"):
+            pp.values(Grid(10, 0.0, 2.0))
+
+
 class TestAssemble:
     def test_k0_equals_poly_mps(self):
         g = Grid(5, 0.0, 2.0)
@@ -328,19 +370,7 @@ class TestAssemble:
         assert m.bond_dims == (1, 2, 4) + (4,) * 7 + (1,)
         assert np.max(np.abs(m.to_statevector() - pp.values(g))) <= 1e-10
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            DistributionSpec("gaussian", mu=1.0, sigma=0.3, domain=(0.0, 2.0)),
-            DistributionSpec("lognormal", mu=1.0, sigma=0.5, domain=(0.0, 5.0)),
-            DistributionSpec("lorentzian", mu=1.0, sigma=0.2, domain=(0.0, 2.0)),
-            DistributionSpec(
-                "custom", domain=(-1.0, 3.0),
-                pdf_fn=lambda x: 1.0 + np.sin(np.asarray(x)) ** 2,
-            ),
-        ],
-        ids=lambda s: s.kind,
-    )
+    @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.kind)
     def test_matches_values_all_families(self, spec):
         for n in (4, 9, 16):
             g = Grid.for_spec(spec, n)

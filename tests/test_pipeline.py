@@ -347,6 +347,20 @@ class TestSerialization:
         with pytest.raises(SchemaError, match=r"gates\[0\]\.matrix"):
             deserialize_circuit(path)
 
+    def test_repeated_qubit(self, tmp_path):
+        path = tmp_path / "bad.json"
+        payload = {
+            "n_qubits": 2,
+            "format_version": "1",
+            "gates": [
+                {"qubits": [0, 1], "matrix": np.eye(4).tolist()},
+                {"qubits": [1, 1], "matrix": np.eye(4).tolist()},
+            ],
+        }
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match=r"^\$\.gates\[1\]: .*qubit 1 is repeated"):
+            deserialize_circuit(path)
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("not json at all")

@@ -120,3 +120,81 @@ class TestErrorDecomposition:
         dec = error_decomposition(build_pipeline(spec, 8))
         product = (1 - dec.pp_error) * (1 - dec.mps_error) * (1 - dec.gate_error)
         assert 1 - dec.total >= product - 1e-6
+
+
+def _tensordot_run(c):
+    # The full-register simulator that `run` replaced, kept as the reference.
+    psi = np.zeros((2,) * c.n_qubits)
+    psi[(0,) * c.n_qubits] = 1.0
+    for gate in c.gates:
+        axes = gate.qubits
+        k = len(axes)
+        g = gate.matrix.reshape((2,) * (2 * k))
+        psi = np.tensordot(g, psi, axes=(tuple(range(k, 2 * k)), axes))
+        psi = np.moveaxis(psi, tuple(range(k)), axes)
+    return psi.reshape(-1)
+
+
+def _random_orthogonal(rng, dim):
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return q
+
+
+class TestRunMatchesTensordotReference:
+    def _random_circuit(self, n, rng):
+        # Gates only on a random subset of the register, so some qubits may
+        # stay untouched; pairs come in any order and at any distance.
+        active = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
+        gates = []
+        for _ in range(rng.integers(0, 2 * n + 3)):
+            if len(active) >= 2 and rng.random() < 0.6:
+                pair = rng.choice(active, size=2, replace=False)
+                gates.append(Gate(tuple(pair), _random_orthogonal(rng, 4)))
+            else:
+                gates.append(Gate((rng.choice(active),), _random_orthogonal(rng, 2)))
+        return Circuit(n_qubits=n, gates=tuple(gates))
+
+    def test_random_circuits(self, rng):
+        seen = set()
+        for n in range(1, 8):
+            for _ in range(60):
+                circ = self._random_circuit(n, rng)
+                for g in circ.gates:
+                    if len(g.qubits) == 2:
+                        q0, q1 = g.qubits
+                        seen.add("reversed" if q0 > q1 else "forward")
+                        seen.add("adjacent" if abs(q0 - q1) == 1 else "gap")
+                touched = {q for g in circ.gates for q in g.qubits}
+                if len(touched) < n:
+                    seen.add("untouched")
+                got, want = run(circ), _tensordot_run(circ)
+                assert np.max(np.abs(got - want)) <= 1e-14
+        assert seen == {"reversed", "forward", "adjacent", "gap", "untouched"}
+
+    def test_single_qubit_gate_at_every_position(self, rng):
+        for n in range(1, 8):
+            for q in range(n):
+                pair = (Gate((0, 1), _random_orthogonal(rng, 4)),) if n > 1 else ()
+                circ = Circuit(
+                    n_qubits=n,
+                    gates=pair + (Gate((q,), _random_orthogonal(rng, 2)),),
+                )
+                assert np.max(np.abs(run(circ) - _tensordot_run(circ))) <= 1e-14
+
+    def test_empty_circuit(self):
+        for n in range(1, 8):
+            circ = Circuit(n_qubits=n, gates=())
+            assert np.array_equal(run(circ), _tensordot_run(circ))
+
+    @pytest.mark.parametrize("n", [4, 9, 16])
+    def test_staircases_bit_identical(self, n, rng):
+        # run's (2^a, 4) @ G.T and the reference's tensordot are different
+        # BLAS calls; bit equality holds for OpenBLAS at one thread. If it
+        # fails on another BLAS build, compare to within 1e-15 instead.
+        spec = DistributionSpec("gaussian", mu=1.0, sigma=0.3, domain=(0.0, 2.0))
+        circuits = [
+            build_pipeline(spec, n).circuit,
+            extract_circuit(random_mps(n, 2, rng, scaled=True).normalize()),
+        ]
+        for circ in circuits:
+            assert np.array_equal(run(circ), _tensordot_run(circ))
