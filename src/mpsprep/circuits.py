@@ -45,6 +45,8 @@ class Gate:
                 f"{len(self.qubits)}-qubit gate needs a {want}x{want} matrix, "
                 f"got {mat.shape}"
             )
+        if not np.isfinite(mat).all():
+            raise ValueError("gate matrix contains non-finite entries")
         qubits = tuple(int(q) for q in self.qubits)
         if len(qubits) == 2 and qubits[0] == qubits[1]:
             raise ValueError(

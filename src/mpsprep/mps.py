@@ -11,6 +11,11 @@ evaluation, addition, inner products, canonical forms, rank reduction by
 truncated-SVD sweeps, and variational fixed-rank compression by
 alternating single-site overlap maximization.
 
+Every pass over the chain is written once, left to right; a right-to-left
+pass runs it on the mirrored chain (cores reversed, bond axes swapped).
+The mirror of a left-canonical chain is right-canonical, and environments
+keep their (work bond, target bond) layout.
+
 Mps values are treated as immutable: all operations return new instances
 and stored cores are marked read-only, so instances are safe to share
 across threads.
@@ -78,7 +83,8 @@ class Mps:
     def __init__(self, cores):
         stored = []
         for i, c in enumerate(cores):
-            arr = np.array(c, dtype=float)
+            # C order: cores made on the mirrored chain arrive transposed.
+            arr = np.array(c, dtype=float, order="C")
             if arr.ndim != 3 or arr.shape[1] != 2:
                 raise ValueError(
                     f"core {i} must have shape (left, 2, right), got {arr.shape}"
@@ -156,25 +162,9 @@ class Mps:
         """
         if form not in ("left", "right"):
             raise ValueError(f"form must be 'left' or 'right', got {form!r}")
-        cores = list(self.cores)
-        n = len(cores)
         if form == "left":
-            for i in range(n - 1):
-                al, _, ar = cores[i].shape
-                q, r = _qr_signed(cores[i].reshape(al * 2, ar))
-                k = q.shape[1]
-                cores[i] = q.reshape(al, 2, k)
-                nxt = cores[i + 1]
-                cores[i + 1] = np.tensordot(r, nxt, axes=([1], [0]))
-        else:
-            for i in range(n - 1, 0, -1):
-                al, _, ar = cores[i].shape
-                q, r = _qr_signed(cores[i].reshape(al, 2 * ar).T)
-                k = q.shape[1]
-                cores[i] = q.T.reshape(k, 2, ar)
-                prev = cores[i - 1]
-                cores[i - 1] = np.tensordot(prev, r.T, axes=([2], [0]))
-        return Mps(cores)
+            return Mps(_left_sweep(list(self.cores), _qr_signed))
+        return Mps(_mirror(_left_sweep(_mirror(self.cores), _qr_signed)))
 
     def __repr__(self) -> str:
         return f"Mps(n_sites={self.n_sites}, max_bond={self.max_bond})"
@@ -267,8 +257,7 @@ def overlap(a: Mps, b: Mps) -> float:
         raise ValueError(f"site count mismatch: {a.n_sites} vs {b.n_sites}")
     env = np.ones((1, 1))
     for ca, cb in zip(a.cores, b.cores):
-        tmp = np.tensordot(env, ca, axes=([0], [0]))  # (b, s, c)
-        env = np.tensordot(tmp, cb, axes=([0, 1], [0, 1]))  # (c, d)
+        env = _env_step(env, ca, cb)
     return float(env[0, 0])
 
 
@@ -278,15 +267,12 @@ def tt_round(m: Mps, policy: TruncationPolicy) -> Mps:
     The input is right-canonicalized first so each local truncation is
     optimal for the whole state; the result is left-canonical.
     """
-    work = list(m.canonicalize("right").cores)
-    n = len(work)
-    for i in range(n - 1):
-        al, _, ar = work[i].shape
-        res = truncated_svd(work[i].reshape(al * 2, ar), policy)
-        work[i] = res.u.reshape(al, 2, res.rank)
-        carry = res.s[:, None] * res.vt
-        work[i + 1] = np.tensordot(carry, work[i + 1], axes=([1], [0]))
-    return Mps(work)
+
+    def factor(mat):
+        res = truncated_svd(mat, policy)
+        return res.u, res.s[:, None] * res.vt
+
+    return Mps(_left_sweep(list(m.canonicalize("right").cores), factor))
 
 
 def compress_als(m: Mps, opts: CompressionOptions) -> Mps:
@@ -301,61 +287,73 @@ def compress_als(m: Mps, opts: CompressionOptions) -> Mps:
     result is normalized, right-canonical, and never worse than the
     truncated-SVD rounding it starts from. A zero input is rejected.
     """
-    n = m.n_sites
-    guess = tt_round(m, TruncationPolicy.rank(opts.target_chi))
-    work = list(guess.canonicalize("right").cores)
-    if not np.any(work[0]):
+    start = tt_round(m, TruncationPolicy.rank(opts.target_chi)).canonicalize("right")
+    if not np.any(start.cores[0]):
         raise ValueError("cannot compress the zero state")
 
-    t_cores = m.cores
-    right_env: list[np.ndarray | None] = [None] * (n + 1)
-    left_env: list[np.ndarray | None] = [None] * (n + 1)
-    right_env[n] = np.ones((1, 1))
-    left_env[0] = np.ones((1, 1))
-    for i in range(n - 1, 0, -1):
-        tmp = np.tensordot(work[i], right_env[i + 1], axes=([2], [0]))  # (a, s, d)
-        right_env[i] = np.tensordot(tmp, t_cores[i], axes=([1, 2], [1, 2]))  # (a, b)
-
-    def local_target(i: int) -> np.ndarray:
-        tmp = np.tensordot(left_env[i], t_cores[i], axes=([1], [0]))  # (a, s, d)
-        return np.tensordot(tmp, right_env[i + 1], axes=([2], [1]))  # (a, s, c)
-
-    def unit_end_core(i: int) -> tuple[np.ndarray, float]:
-        b = local_target(i)
-        nrm = np.linalg.norm(b)
-        if nrm == 0.0:
-            raise ValueError("target is orthogonal to the compression ansatz")
-        return b / nrm, float(nrm)
+    # env[j] is the environment at bond j; the initial right environments
+    # are left ones of the mirrored chain.
+    work, target = _mirror(start.cores), _mirror(m.cores)
+    env = [np.ones((1, 1))] * (m.n_sites + 1)
+    for i in range(m.n_sites - 1):
+        env[i + 1] = _env_step(env[i], work[i], target[i])
 
     ovl = -np.inf
     for _ in range(opts.max_sweeps):
-        # Left-to-right half sweep.
-        for i in range(n - 1):
-            b = local_target(i)
-            al, _, ar = b.shape
-            q, _ = _qr_signed(b.reshape(al * 2, ar))
-            work[i] = q.reshape(al, 2, q.shape[1])
-            tmp = np.tensordot(left_env[i], work[i], axes=([0], [0]))  # (b, s, c)
-            left_env[i + 1] = np.tensordot(tmp, t_cores[i], axes=([0, 1], [0, 1]))
-        work[n - 1], _ = unit_end_core(n - 1)
-
-        # Right-to-left half sweep.
-        for i in range(n - 1, 0, -1):
-            b = local_target(i)
-            al, _, ar = b.shape
-            q, _ = _qr_signed(b.reshape(al, 2 * ar).T)
-            work[i] = q.T.reshape(q.shape[1], 2, ar)
-            tmp = np.tensordot(work[i], right_env[i + 1], axes=([2], [0]))
-            right_env[i] = np.tensordot(tmp, t_cores[i], axes=([1, 2], [1, 2]))
-        work[0], nrm = unit_end_core(0)
-
+        for _half in ("left to right", "right to left"):
+            work, target, env = _mirror(work), _mirror(target), env[::-1]
+            nrm = _als_half_sweep(work, target, env)
         prev, ovl = ovl, nrm
-        if prev > -np.inf and abs(ovl - prev) <= opts.convergence_tol * max(
-            abs(ovl), 1e-300
-        ):
+        if abs(ovl - prev) <= opts.convergence_tol * max(abs(ovl), 1e-300):
             break
+    return Mps(_mirror(work))
 
-    return Mps(work)
+
+def _mirror(cores) -> list[np.ndarray]:
+    """The chain read from its other end (see the module docstring)."""
+    return [c.transpose(2, 1, 0) for c in reversed(cores)]
+
+
+def _left_sweep(cores: list[np.ndarray], factor) -> list[np.ndarray]:
+    """Replace each core but the last by ``q`` of ``factor(unfolding) ->
+    (q, carry)`` and absorb ``carry`` into the next core, in place."""
+    for i in range(len(cores) - 1):
+        al, _, ar = cores[i].shape
+        q, carry = factor(cores[i].reshape(al * 2, ar))
+        cores[i] = q.reshape(al, 2, q.shape[1])
+        cores[i + 1] = np.tensordot(carry, cores[i + 1], axes=([1], [0]))
+    return cores
+
+
+def _env_step(env: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Extend a ``(a bond, b bond)`` environment by one pair of cores."""
+    tmp = np.tensordot(env, a, axes=([0], [0]))  # (b, s, c)
+    return np.tensordot(tmp, b, axes=([0, 1], [0, 1]))  # (c, d)
+
+
+def _local_target(left: np.ndarray, t: np.ndarray, right: np.ndarray) -> np.ndarray:
+    # Best single-site core given the environments on either side.
+    tmp = np.tensordot(left, t, axes=([1], [0]))  # (a, s, d)
+    return np.tensordot(tmp, right, axes=([2], [1]))  # (a, s, c)
+
+
+def _als_half_sweep(work: list, target: list, env: list) -> float:
+    """Left-to-right ALS half sweep over right-canonical ``work``; each
+    ``env[j]`` turns from right to left environment as the sweep passes.
+    Updates in place; returns the end core's norm before it is scaled to 1."""
+    n = len(work)
+    for i in range(n - 1):
+        b = _local_target(env[i], target[i], env[i + 1])
+        al, _, ar = b.shape
+        q, _ = _qr_signed(b.reshape(al * 2, ar))
+        work[i] = q.reshape(al, 2, q.shape[1])
+        env[i + 1] = _env_step(env[i], work[i], target[i])
+    b = _local_target(env[n - 1], target[n - 1], env[n])
+    nrm = float(np.linalg.norm(b))
+    if nrm == 0.0:
+        raise ValueError("target is orthogonal to the compression ansatz")
+    work[n - 1] = b / nrm
+    return nrm
 
 
 def unfolding_spectra(v) -> list[np.ndarray]:

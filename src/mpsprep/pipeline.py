@@ -433,7 +433,7 @@ def deserialize_circuit(path) -> Circuit:
             f"unsupported version {version!r}; this reader handles {FORMAT_VERSION!r}",
         )
     n_qubits = _require(payload, "n_qubits", "$")
-    if not isinstance(n_qubits, int) or n_qubits < 1:
+    if type(n_qubits) is not int or n_qubits < 1:
         raise SchemaError("$.n_qubits", f"expected a positive integer, got {n_qubits!r}")
     gates_raw = _require(payload, "gates", "$")
     if not isinstance(gates_raw, list):
@@ -446,7 +446,7 @@ def deserialize_circuit(path) -> Circuit:
         if (
             not isinstance(qubits, list)
             or len(qubits) not in (1, 2)
-            or not all(isinstance(q, int) for q in qubits)
+            or not all(type(q) is int for q in qubits)
         ):
             raise SchemaError(f"{gpath}.qubits", "expected a list of 1 or 2 integers")
         matrix = _require(entry, "matrix", gpath)
@@ -459,6 +459,12 @@ def deserialize_circuit(path) -> Circuit:
             raise SchemaError(
                 f"{gpath}.matrix", f"expected a {want}x{want} row-major matrix"
             )
+        if not {type(x) for row in matrix for x in row} <= {int, float}:
+            r, c, x = next(
+                (r, c, x) for r, row in enumerate(matrix) for c, x in enumerate(row)
+                if type(x) not in (int, float)
+            )
+            raise SchemaError(f"{gpath}.matrix[{r}][{c}]", f"expected a number, got {x!r}")
         try:
             gates.append(Gate(tuple(qubits), np.array(matrix, dtype=float)))
         except ValueError as exc:

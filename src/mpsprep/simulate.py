@@ -194,14 +194,16 @@ def _gate_fidelity(result: PipelineResult) -> float:
 
 def error_decomposition(result: PipelineResult) -> ErrorDecomposition:
     """Attribute a run's end-to-end infidelity to fit, compression, and gates."""
-    circ_state = run(result.circuit)
+    # At most two 2^N vectors at once: the target and the fit, then the
+    # target and the circuit state.
     exact = target_amplitudes(result.spec, result.grid.n_qubits)
     pp_values = result.piecewise.values(result.grid)
-
-    f_pp = fidelity(exact, pp_values / np.linalg.norm(pp_values))
+    pp_values /= np.linalg.norm(pp_values)
+    f_pp = fidelity(exact, pp_values)
+    del pp_values
+    f_total = fidelity(exact, run(result.circuit))
     a = result.assembled
     f_compress = min(abs(overlap(a, result.compressed)) / a.norm(), 1.0)
-    f_total = fidelity(exact, circ_state)
     return ErrorDecomposition(
         pp_error=1.0 - f_pp,
         mps_error=1.0 - f_compress,

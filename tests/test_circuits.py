@@ -156,6 +156,13 @@ class TestGateAndCircuitTypes:
         with pytest.raises(ValueError, match="qubit 1 is repeated"):
             Gate((1, 1), np.eye(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        mat = np.eye(4)
+        mat[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            Gate((0, 1), mat)
+
     def test_circuit_qubit_bounds(self):
         with pytest.raises(ValueError, match="register"):
             Circuit(n_qubits=2, gates=(Gate((1, 2), np.eye(4)),))

@@ -15,6 +15,7 @@ from mpsprep import (
     tt_round,
     unfolding_spectra,
 )
+from mpsprep.linalg import _qr_signed, truncated_svd
 from mpsprep.functions import (
     DistributionSpec,
     assemble,
@@ -302,6 +303,103 @@ class TestCompressAls:
             CompressionOptions(convergence_tol=0.0)
         with pytest.raises(ValueError):
             CompressionOptions(max_sweeps=0)
+
+
+def _reference_right_canonical(cores):
+    # Right-to-left QR sweep as written before passes ran on the mirror.
+    cores = list(cores)
+    for i in range(len(cores) - 1, 0, -1):
+        al, _, ar = cores[i].shape
+        q, r = _qr_signed(cores[i].reshape(al, 2 * ar).T)
+        cores[i] = q.T.reshape(q.shape[1], 2, ar)
+        cores[i - 1] = np.tensordot(cores[i - 1], r.T, axes=([2], [0]))
+    return cores
+
+
+def _reference_compress_als(m, opts):
+    # compress_als with its two hand-mirrored half sweeps, its own
+    # tt_round loop and separate left and right environment arrays.
+    n = m.n_sites
+    policy = TruncationPolicy.rank(opts.target_chi)
+    work = _reference_right_canonical(m.cores)
+    for i in range(n - 1):
+        al, _, ar = work[i].shape
+        res = truncated_svd(work[i].reshape(al * 2, ar), policy)
+        work[i] = res.u.reshape(al, 2, res.rank)
+        carry = res.s[:, None] * res.vt
+        work[i + 1] = np.tensordot(carry, work[i + 1], axes=([1], [0]))
+    work = _reference_right_canonical(work)
+    t_cores = m.cores
+    right_env = [None] * (n + 1)
+    left_env = [None] * (n + 1)
+    right_env[n] = np.ones((1, 1))
+    left_env[0] = np.ones((1, 1))
+    for i in range(n - 1, 0, -1):
+        tmp = np.tensordot(work[i], right_env[i + 1], axes=([2], [0]))
+        right_env[i] = np.tensordot(tmp, t_cores[i], axes=([1, 2], [1, 2]))
+
+    def local_target(i):
+        tmp = np.tensordot(left_env[i], t_cores[i], axes=([1], [0]))
+        return np.tensordot(tmp, right_env[i + 1], axes=([2], [1]))
+
+    def unit_end_core(i):
+        b = local_target(i)
+        nrm = np.linalg.norm(b)
+        return b / nrm, float(nrm)
+
+    ovl = -np.inf
+    for _ in range(opts.max_sweeps):
+        for i in range(n - 1):
+            b = local_target(i)
+            al, _, ar = b.shape
+            q, _ = _qr_signed(b.reshape(al * 2, ar))
+            work[i] = q.reshape(al, 2, q.shape[1])
+            tmp = np.tensordot(left_env[i], work[i], axes=([0], [0]))
+            left_env[i + 1] = np.tensordot(tmp, t_cores[i], axes=([0, 1], [0, 1]))
+        work[n - 1], _ = unit_end_core(n - 1)
+        for i in range(n - 1, 0, -1):
+            b = local_target(i)
+            al, _, ar = b.shape
+            q, _ = _qr_signed(b.reshape(al, 2 * ar).T)
+            work[i] = q.T.reshape(q.shape[1], 2, ar)
+            tmp = np.tensordot(work[i], right_env[i + 1], axes=([2], [0]))
+            right_env[i] = np.tensordot(tmp, t_cores[i], axes=([1, 2], [1, 2]))
+        work[0], nrm = unit_end_core(0)
+        prev, ovl = ovl, nrm
+        if prev > -np.inf and abs(ovl - prev) <= opts.convergence_tol * max(
+            abs(ovl), 1e-300
+        ):
+            break
+    return Mps(work)
+
+
+class TestMirroredPassesMatchReference:
+    @pytest.mark.parametrize("n,chi", [(1, 1), (2, 2), (5, 3), (7, 6), (10, 8)])
+    def test_right_canonical_cores(self, rng, n, chi):
+        for _ in range(5):
+            m = random_mps(n, chi, rng)
+            got = m.canonicalize("right").cores
+            want = _reference_right_canonical(m.cores)
+            assert [c.shape for c in got] == [c.shape for c in want]
+            for a, b in zip(got, want):
+                assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
+
+    def test_compress_als(self, rng):
+        inputs = [random_mps(n, chi, rng) for n, chi in ((3, 2), (6, 4), (8, 8))]
+        inputs.append(random_mps(40, 6, rng, scaled=True))
+        for kind, domain in (("gaussian", (0.0, 2.0)), ("lognormal", (0.0, 5.0))):
+            spec = DistributionSpec(kind, mu=1.0, sigma=0.3, domain=domain)
+            grid = Grid(12, *spec.domain)
+            inputs.append(assemble(fit_piecewise(spec, grid, 3, 3), grid))
+        for m in inputs:
+            for chi in (1, 2):
+                opts = CompressionOptions(target_chi=chi)
+                got, want = compress_als(m, opts), _reference_compress_als(m, opts)
+                nrm = m.norm()
+                f_got = abs(overlap(got, m)) / nrm
+                f_want = abs(overlap(want, m)) / nrm
+                assert f_got == pytest.approx(f_want, abs=1e-12)
+                assert abs(overlap(got, want)) >= 1.0 - 1e-12
 
 
 class TestUnfoldingSpectra:

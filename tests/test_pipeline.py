@@ -361,6 +361,56 @@ class TestSerialization:
         with pytest.raises(SchemaError, match=r"^\$\.gates\[1\]: .*qubit 1 is repeated"):
             deserialize_circuit(path)
 
+    def test_non_finite_gate(self, tmp_path):
+        # json reads NaN and Infinity as floats; the gate must refuse them
+        path = tmp_path / "bad.json"
+        matrix = np.eye(4).tolist()
+        matrix[0][3] = float("nan")
+        payload = {
+            "n_qubits": 2,
+            "format_version": "1",
+            "gates": [{"qubits": [0, 1], "matrix": matrix}],
+        }
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match=r"^\$\.gates\[0\]: .*non-finite"):
+            deserialize_circuit(path)
+
+    def test_bool_n_qubits(self, tmp_path):
+        path = tmp_path / "bad.json"
+        payload = {"n_qubits": True, "format_version": "1", "gates": []}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match=r"^\$\.n_qubits: .*True"):
+            deserialize_circuit(path)
+
+    def test_bool_qubit(self, tmp_path):
+        path = tmp_path / "bad.json"
+        payload = {
+            "n_qubits": 1,
+            "format_version": "1",
+            "gates": [{"qubits": [False], "matrix": np.eye(2).tolist()}],
+        }
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match=r"^\$\.gates\[0\]\.qubits: "):
+            deserialize_circuit(path)
+
+    @pytest.mark.parametrize(
+        "entry", ["1", True, None, [1.0]], ids=["string", "bool", "null", "list"]
+    )
+    def test_non_number_matrix_entry(self, tmp_path, entry):
+        path = tmp_path / "bad.json"
+        matrix = np.eye(2).tolist()
+        matrix[1][0] = entry
+        payload = {
+            "n_qubits": 1,
+            "format_version": "1",
+            "gates": [{"qubits": [0], "matrix": matrix}],
+        }
+        path.write_text(json.dumps(payload))
+        with pytest.raises(
+            SchemaError, match=r"^\$\.gates\[0\]\.matrix\[1\]\[0\]: expected a number"
+        ):
+            deserialize_circuit(path)
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("not json at all")
@@ -411,6 +461,16 @@ class TestCli:
         path.write_text(json.dumps(payload))
         assert main(["validate", str(path)]) == 2
         assert "issue" in capsys.readouterr().out
+
+    def test_validate_rejects_non_finite_gate(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        circ = tmp_path / "circuit.json"
+        assert main(["encode", "--n", "4", "--out", str(circ)]) == 0
+        payload = json.loads(circ.read_text())
+        payload["gates"][1]["matrix"][0][0] = float("nan")
+        path.write_text(json.dumps(payload))
+        assert main(["validate", str(path)]) == 3
+        assert "$.gates[1]: gate matrix contains non-finite" in capsys.readouterr().err
 
     def test_sweep_sigma_csv(self, tmp_path):
         out = tmp_path / "rows.csv"
