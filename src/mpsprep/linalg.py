@@ -133,35 +133,28 @@ def _raw_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def svd(a) -> SvdResult:
     """Full (thin) SVD with deterministic signs and zero truncation error."""
-    m = _as_matrix(a)
-    u, s, vt = _raw_svd(m)
-    u, vt = _fix_svd_signs(u, vt)
-    return SvdResult(u=u, s=s, vt=vt, truncation_error=0.0)
+    return truncated_svd(a, TruncationPolicy.exact())
 
 
 def truncated_svd(a, policy: TruncationPolicy) -> SvdResult:
     """SVD keeping only the triplets allowed by ``policy``.
 
-    The reported ``truncation_error`` equals the Frobenius distance to the
+    Left singular vectors have a positive first nonzero entry. The
+    reported ``truncation_error`` equals the Frobenius distance to the
     best approximation of the retained rank, i.e. sqrt(sum of squared
     discarded singular values).
     """
-    m = _as_matrix(a)
-    full = svd(m)
-    keep = policy.num_retained(full.s)
+    u, s, vt = _raw_svd(_as_matrix(a))
+    u, vt = _fix_svd_signs(u, vt)
+    keep = policy.num_retained(s)
     if keep == 0:
-        if np.any(full.s > 0):
+        if np.any(s > 0):
             raise ValueError(
                 "truncation policy retains no singular values of a nonzero matrix"
             )
         keep = 1  # zero matrix: keep one null triplet so shapes stay valid
-    err = float(np.sqrt(np.sum(full.s[keep:] ** 2)))
-    return SvdResult(
-        u=full.u[:, :keep],
-        s=full.s[:keep],
-        vt=full.vt[:keep, :],
-        truncation_error=err,
-    )
+    err = float(np.sqrt(np.sum(s[keep:] ** 2)))
+    return SvdResult(u=u[:, :keep], s=s[:keep], vt=vt[:keep, :], truncation_error=err)
 
 
 def _qr_signed(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

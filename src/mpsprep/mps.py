@@ -232,22 +232,17 @@ def add(a: Mps, b: Mps) -> Mps:
     """Sum of two MPS; amplitudes add exactly, interior bonds concatenate."""
     if a.n_sites != b.n_sites:
         raise ValueError(f"site count mismatch: {a.n_sites} vs {b.n_sites}")
-    n = a.n_sites
-    if n == 1:
-        return Mps([a.cores[0] + b.cores[0]])
     cores = []
-    for i, (ca, cb) in enumerate(zip(a.cores, b.cores)):
+    for ca, cb in zip(a.cores, b.cores):
         la, _, ra = ca.shape
         lb, _, rb = cb.shape
-        if i == 0:
-            core = np.concatenate([ca, cb], axis=2)
-        elif i == n - 1:
-            core = np.concatenate([ca, cb], axis=0)
-        else:
-            core = np.zeros((la + lb, 2, ra + rb))
-            core[:la, :, :ra] = ca
-            core[la:, :, ra:] = cb
+        core = np.zeros((la + lb, 2, ra + rb))
+        core[:la, :, :ra] = ca
+        core[la:, :, ra:] = cb
         cores.append(core)
+    # Close the outer bonds; each entry adds an exact 0.0 to the other block.
+    cores[0] = cores[0].sum(axis=0, keepdims=True)
+    cores[-1] = cores[-1].sum(axis=2, keepdims=True)
     return Mps(cores)
 
 

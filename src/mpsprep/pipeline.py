@@ -221,14 +221,15 @@ class SweepRow:
     k: int
     p: int
     chi: int
-    fidelity: float
-    pp_err: float
-    mps_err: float
-    gate_err: float
-    gate_count: int
-    t_fit_ms: float
-    t_compress_ms: float
-    t_extract_ms: float
+    # Results; a failed cell keeps these defaults.
+    fidelity: float = float("nan")
+    pp_err: float = float("nan")
+    mps_err: float = float("nan")
+    gate_err: float = float("nan")
+    gate_count: int = 0
+    t_fit_ms: float = float("nan")
+    t_compress_ms: float = float("nan")
+    t_extract_ms: float = float("nan")
     error: str = ""  # non-empty when the cell failed; excluded from CSV
 
     def csv_values(self) -> list[str]:
@@ -255,32 +256,21 @@ def _run_cell(config: RunConfig) -> SweepRow:
     }
     try:
         _, report = encode(config)
-        err = report.errors
-        return SweepRow(
-            **base,
-            fidelity=report.fidelity,
-            pp_err=err.pp_error if err else float("nan"),
-            mps_err=err.mps_error if err else float("nan"),
-            gate_err=err.gate_error if err else float("nan"),
-            gate_count=report.gate_count,
-            t_fit_ms=report.t_fit_ms,
-            t_compress_ms=report.t_compress_ms,
-            t_extract_ms=report.t_extract_ms,
-        )
     except Exception as exc:  # record the failure, keep sweeping
-        nan = float("nan")
-        return SweepRow(
-            **base,
-            fidelity=nan,
-            pp_err=nan,
-            mps_err=nan,
-            gate_err=nan,
-            gate_count=0,
-            t_fit_ms=nan,
-            t_compress_ms=nan,
-            t_extract_ms=nan,
-            error=str(exc),
-        )
+        return SweepRow(**base, error=str(exc))
+    err = report.errors
+    nan = float("nan")
+    return SweepRow(
+        **base,
+        fidelity=report.fidelity,
+        pp_err=err.pp_error if err else nan,
+        mps_err=err.mps_error if err else nan,
+        gate_err=err.gate_error if err else nan,
+        gate_count=report.gate_count,
+        t_fit_ms=report.t_fit_ms,
+        t_compress_ms=report.t_compress_ms,
+        t_extract_ms=report.t_extract_ms,
+    )
 
 
 def sweep_sigma(

@@ -3,10 +3,11 @@
 States are dense big-endian float vectors. The simulator applies the
 gates one at a time and stores only the qubits some gate has touched:
 an untouched qubit is |0> and joins the state when a gate first acts on
-it. A gate on the last stored qubits is one reshape and matmul, any
-other gate a contraction over its qubit axes; both are exact up to
-rounding and norm preserving for orthogonal gates. A staircase thus
-costs about as much as its output.
+it. Every gate takes one path: its qubits are moved to the last axes
+and it is applied as one reshape and matmul, exact up to rounding and
+norm preserving for orthogonal gates. A staircase gate already sits on
+the last axes, so the move is free and a staircase costs about as much
+as its output.
 
 Error accounting takes one run of the construction (fit, assemble,
 compress, extract) and attributes its final infidelity to the three
@@ -49,28 +50,25 @@ def run(c: Circuit) -> np.ndarray:
 
     Gates are applied one by one, in list order, on any qubits. A qubit
     that no gate has touched yet is |0> and is not stored; it joins the
-    state as a new last axis when a gate first acts on it. A gate on the
-    last k stored axes, in order, is one matmul ``(2^a, 2^k) @ G.T`` on a
-    reshaped view of the state; any other layout is a ``tensordot`` over
-    the gate's axes. Untouched qubits are appended at the end and the
-    axes put in big-endian qubit order.
+    state as a new last axis when a gate first acts on it. Each gate's
+    qubits are then moved to the last k axes, in gate order (a no-op view
+    when they are already there, as in a staircase), and the gate is one
+    matmul ``(2^a, 2^k) @ G.T`` on the reshaped state. Untouched qubits
+    are appended at the end and the axes put in big-endian qubit order.
     """
     _check_dense(c.n_qubits, "run")
     held: list[int] = []  # qubit stored on each axis, in axis order
     psi = np.ones(())
     for gate in c.gates:
-        joining = [q for q in gate.qubits if q not in held]
+        qubits = list(gate.qubits)
+        joining = [q for q in qubits if q not in held]
         psi = _join_zero(psi, len(joining))
         held += joining
-        axes = tuple(held.index(q) for q in gate.qubits)
-        k = len(axes)
-        if axes == tuple(range(psi.ndim - k, psi.ndim)):
-            out = psi.reshape(-1, 2**k) @ gate.matrix.T
-            psi = out.reshape(psi.shape)
-        else:
-            g = gate.matrix.reshape((2,) * (2 * k))
-            psi = np.tensordot(g, psi, axes=(tuple(range(k, 2 * k)), axes))
-            psi = np.moveaxis(psi, tuple(range(k)), axes)
+        rest = [q for q in held if q not in qubits]
+        psi = psi.transpose([held.index(q) for q in rest + qubits])
+        held = rest + qubits
+        out = psi.reshape(-1, 2 ** len(qubits)) @ gate.matrix.T
+        psi = out.reshape(psi.shape)
     idle = [q for q in range(c.n_qubits) if q not in held]
     psi = _join_zero(psi, len(idle))
     return np.transpose(psi, np.argsort(held + idle)).reshape(-1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mpsprep import Mps
+from mpsprep import Circuit, Gate, Mps
 
 
 def random_mps(n, chi, rng, scaled=False):
@@ -14,6 +14,13 @@ def random_mps(n, chi, rng, scaled=False):
             core /= np.sqrt(2.0 * max(bonds[i], bonds[i + 1]))
         cores.append(core)
     return Mps(cores)
+
+
+def misplaced_terminal_circuit():
+    """The 3-qubit staircase except that the last gate sits on qubit 0, not 2."""
+    pair, single = np.eye(4), np.eye(2)
+    gates = (Gate((0, 1), pair), Gate((1, 2), pair), Gate((0,), single))
+    return Circuit(n_qubits=3, gates=gates)
 
 
 @pytest.fixture

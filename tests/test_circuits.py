@@ -18,7 +18,7 @@ from mpsprep import (
     validate_circuit,
 )
 
-from conftest import random_mps
+from conftest import misplaced_terminal_circuit, random_mps
 
 
 class TestExtractCircuit:
@@ -116,6 +116,10 @@ class TestCircuitToMps:
         with pytest.raises(ValueError, match="staircase"):
             circuit_to_mps(circ)
 
+    def test_rejects_misplaced_terminal_gate(self):
+        with pytest.raises(ValueError, match="not a staircase"):
+            circuit_to_mps(misplaced_terminal_circuit())
+
 
 class TestValidateCircuit:
     def test_extracted_circuit_passes(self, rng):
@@ -143,6 +147,26 @@ class TestValidateCircuit:
         report = validate_circuit(Circuit(n_qubits=3, gates=(g,)))
         assert not report.ok
         assert not report.staircase
+
+    def test_flags_misplaced_terminal_gate(self):
+        report = validate_circuit(misplaced_terminal_circuit())
+        assert not report.staircase
+        assert len(report.issues) == 1
+        assert report.issues[0].startswith("gate 2 ")
+
+    def test_prefix_of_layout_is_staircase(self):
+        g = Gate((0, 1), np.eye(4))
+        report = validate_circuit(Circuit(n_qubits=3, gates=(g,)))
+        assert report.ok
+        assert report.staircase
+
+    def test_flags_gate_past_layout(self, rng):
+        circ = extract_circuit(random_mps(3, 2, rng).normalize())
+        extra = Circuit(n_qubits=3, gates=circ.gates + (circ.gates[-1],))
+        report = validate_circuit(extra)
+        assert not report.staircase
+        assert len(report.issues) == 1
+        assert report.issues[0].startswith("gate 3 ")
 
 
 class TestGateAndCircuitTypes:

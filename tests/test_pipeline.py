@@ -27,6 +27,8 @@ from mpsprep import (
 )
 from mpsprep.cli import main
 
+from conftest import misplaced_terminal_circuit
+
 
 def gaussian_config(n=8, sigma=1.0, **kw):
     spec = DistributionSpec("gaussian", mu=1.0, sigma=sigma, domain=(0.0, 2.0))
@@ -461,6 +463,14 @@ class TestCli:
         path.write_text(json.dumps(payload))
         assert main(["validate", str(path)]) == 2
         assert "issue" in capsys.readouterr().out
+
+    def test_validate_flags_misplaced_terminal_gate(self, tmp_path, capsys):
+        path = tmp_path / "misplaced.json"
+        serialize_circuit(misplaced_terminal_circuit(), path)
+        assert main(["validate", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert "staircase false" in out
+        assert "issue: gate 2 " in out
 
     def test_validate_rejects_non_finite_gate(self, tmp_path, capsys):
         path = tmp_path / "nan.json"
