@@ -84,21 +84,25 @@ def _staircase_qubits(n: int) -> list[tuple[int, ...]]:
     return [(t, t + 1) for t in range(n - 1)] + [(n - 1,)]
 
 
-def _gate_from_core(core: np.ndarray) -> np.ndarray:
-    """Two-qubit gate whose (bond, |0>) columns reproduce a rank<=2 core.
+def _gates_from_cores(cores) -> np.ndarray:
+    """Two-qubit gates whose (bond, |0>) columns reproduce rank<=2 cores.
 
-    Column (b*2 + 0) carries core[b, s, r] at row (s*2 + r): feeding the
-    bond state on the upper qubit and |0> on the lower one emits the
-    physical bit upward and the next bond state downward. The remaining
-    columns are a deterministic orthonormal kernel completion.
+    Column (b*2 + 0) of gate t carries cores[t][b, s, r] at row (s*2 + r):
+    feeding the bond state on the upper qubit and |0> on the lower one
+    emits the physical bit upward and the next bond state downward. The
+    remaining columns are a kernel completion, one per left bond size.
     """
-    al, _, ar = core.shape
-    gate = np.zeros((4, 4))
-    # Axes (s, r, b, lower input bit) of the row-major 4x4 view.
-    gate.reshape(2, 2, 2, 2)[:, :ar, :al, 0] = core.transpose(1, 2, 0)
-    free = [j for j in range(4) if j % 2 or j >= 2 * al]
-    gate[:, free] = null_space_completion(gate[:, : 2 * al : 2].T).T
-    return gate
+    gates = np.zeros((len(cores), 4, 4))
+    # Axes (s, r, b, lower input bit) of each row-major 4x4 view.
+    for gate, core in zip(gates.reshape(-1, 2, 2, 2, 2), cores):
+        gate[:, : core.shape[2], : core.shape[0], 0] = core.transpose(1, 2, 0)
+    cols = gates.swapaxes(1, 2)  # cols[t, j] is column j of gate t
+    left = np.array([core.shape[0] for core in cores])
+    for al in np.unique(left):
+        at = np.flatnonzero(left == al)
+        free = [j for j in range(4) if j % 2 or j >= 2 * al]
+        cols[np.ix_(at, free)] = null_space_completion(cols[at, : 2 * al : 2])
+    return gates
 
 
 def _final_gate_from_core(core: np.ndarray) -> np.ndarray:
@@ -132,7 +136,7 @@ def extract_circuit(m: Mps) -> Circuit:
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"input must be normalized, got norm {nrm!r}")
 
-    matrices = [_gate_from_core(core) for core in canon.cores[:-1]]
+    matrices = list(_gates_from_cores(canon.cores[:-1]))
     matrices.append(_final_gate_from_core(canon.cores[-1]))
     layout = _staircase_qubits(canon.n_sites)
     return Circuit(canon.n_sites, tuple(map(Gate, layout, matrices)))
@@ -151,7 +155,7 @@ def circuit_to_mps(c: Circuit) -> Mps:
         raise ValueError("not a staircase circuit; cannot invert to an MPS")
     cores = []
     for i, gate in enumerate(c.gates[:-1]):
-        # Inverse of _gate_from_core: core[b, s, r] = gate[s*2 + r, b*2].
+        # Inverse of _gates_from_cores: core[b, s, r] = gate[s*2 + r, b*2].
         core = gate.matrix.reshape(2, 2, 2, 2)[:, :, :, 0].transpose(2, 0, 1)
         cores.append(core[:1] if i == 0 else core)
     al = 1 if c.n_qubits == 1 else 2

@@ -94,13 +94,13 @@ class SvdResult:
         return (self.u * self.s) @ self.vt
 
 
-def _as_matrix(a) -> np.ndarray:
+def _as_matrix(a, stack: bool = False) -> np.ndarray:
     # Contiguous copy-in: identical values give identical results
-    # regardless of the caller's memory layout.
+    # regardless of the caller's memory layout; ``stack`` admits (..., r, c).
     m = np.ascontiguousarray(a, dtype=float)
-    if m.ndim != 2:
+    if m.ndim != 2 and not (stack and m.ndim > 2):
         raise ValueError(f"expected a 2-d array, got ndim={m.ndim}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
+    if m.shape[-2] < 1 or m.shape[-1] < 1:
         raise ValueError(f"matrix must be at least 1x1, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
@@ -160,14 +160,8 @@ def truncated_svd(a, policy: TruncationPolicy) -> SvdResult:
 def _qr_signed(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Reduced QR with non-negative R diagonal; accepts any shape.
     q, r = np.linalg.qr(m, mode="reduced")
-    d = np.diagonal(r).copy()
-    flip = d < 0
-    if np.any(flip):
-        q = q.copy()
-        r = r.copy()
-        q[:, flip] = -q[:, flip]
-        r[flip, :] = -r[flip, :]
-    return q, r
+    sign = np.where(np.diagonal(r) < 0, -1.0, 1.0)  # exact: flips signs only
+    return q * sign, r * sign[:, None]
 
 
 def qr_orthonormalize(a) -> tuple[np.ndarray, np.ndarray]:
@@ -208,37 +202,47 @@ def polyfit_least_squares(xs, ys, degree: int) -> np.ndarray:
 def null_space_completion(rows) -> np.ndarray:
     """Complete orthonormal rows to a full orthogonal basis.
 
-    Input is an r x c matrix (r < c) with orthonormal rows; the result is
-    a (c - r) x c matrix of orthonormal rows spanning the orthogonal
-    complement. Stacking input over output gives a c x c orthogonal
-    matrix. Deterministic: Gram-Schmidt against the canonical basis in
-    index order, each new row's first nonzero entry made positive.
+    Input is an r x c matrix (r < c) with orthonormal rows, or a stack
+    ``(..., r, c)`` of them; the result ``(..., c - r, c)`` has orthonormal
+    rows spanning each matrix's orthogonal complement, so stacking input
+    over output gives a c x c orthogonal matrix. Deterministic: Gram-Schmidt
+    against the canonical basis in index order, each new row's first
+    nonzero entry made positive. Stacked matrices are completed as if
+    alone; an error names the stack index of the matrix at fault.
     """
-    r = np.atleast_2d(_as_matrix(rows))
-    n_rows, n_cols = r.shape
+    r = _as_matrix(rows, stack=True)
+    stack, (n_rows, n_cols) = r.shape[:-2], r.shape[-2:]
     if n_rows >= n_cols:
         raise ValueError(f"need fewer rows than columns, got shape {r.shape}")
-    gram_dev = np.max(np.abs(r @ r.T - np.eye(n_rows)))
-    if gram_dev > 1e-8:
-        raise ValueError(f"input rows not orthonormal (deviation {gram_dev:.3e})")
+    r = r.reshape(-1, n_rows, n_cols)
 
-    completed: list[np.ndarray] = []
+    def at(k) -> str:
+        return f" (stack index {list(np.ndindex(stack))[k]})" if stack else ""
+
+    dev = np.max(np.abs(r @ r.swapaxes(1, 2) - np.eye(n_rows)), axis=(1, 2))
+    if np.any(dev > 1e-8):
+        k = int(np.argmax(dev))
+        raise ValueError(f"input rows{at(k)} not orthonormal (deviation {dev[k]:.3e})")
+
+    # basis[k] holds matrix k's rows, then its completion; rows not yet
+    # found are zero and project out nothing.
+    basis = np.concatenate([r, np.zeros((len(r), n_cols - n_rows, n_cols))], axis=1)
+    found = np.full(len(r), n_rows)
     for i in range(n_cols):
-        if len(completed) == n_cols - n_rows:
-            break
-        v = np.zeros(n_cols)
-        v[i] = 1.0
+        v = np.zeros((len(r), n_cols, 1))
+        v[:, i] = 1.0
         for _ in range(2):  # second pass removes round-off leakage
-            v -= r.T @ (r @ v)
-            for w in completed:
-                v -= w * (w @ v)
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-8:
-            v /= nrm
-            nz = np.nonzero(np.abs(v) > _SIGN_EPS)[0]
-            if len(nz) and v[nz[0]] < 0:
-                v = -v
-            completed.append(v)
-    if len(completed) != n_cols - n_rows:
-        raise ValueError("failed to complete the basis; input rows may be degenerate")
-    return np.array(completed)
+            v -= basis.swapaxes(1, 2) @ (basis @ v)
+        nrm = np.sqrt(np.sum(v[:, :, 0] ** 2, axis=1))
+        take = (found < n_cols) & (nrm > 1e-8)
+        v = v[take, :, 0] / nrm[take, None]
+        first = np.argmax(np.abs(v) > _SIGN_EPS, axis=1)[:, None]
+        sign = np.where(np.take_along_axis(v, first, axis=1) < 0, -1.0, 1.0)
+        basis[np.flatnonzero(take), found[take]] = v * sign
+        found[take] += 1
+    if np.any(found < n_cols):
+        k = int(np.argmin(found))
+        raise ValueError(
+            f"failed to complete the basis{at(k)}; input rows may be degenerate"
+        )
+    return basis[:, n_rows:].reshape(stack + (n_cols - n_rows, n_cols))

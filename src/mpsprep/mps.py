@@ -176,7 +176,8 @@ class CompressionOptions:
 
     ``convergence_tol`` is the relative change in overlap with the target
     between consecutive sweeps below which the iteration stops. Sweeps
-    start from the truncated-SVD rounding of the input.
+    start from the truncated-SVD rounding of the input, which counts as
+    sweep 0, so a converged start costs one sweep.
     """
 
     target_chi: int = 2
@@ -279,8 +280,9 @@ def compress_als(m: Mps, opts: CompressionOptions) -> Mps:
     of order 2^(N/2) (assembled states up to N = 1023) is never squared.
     Each local problem contracts the environments with one target core;
     a sweep costs O(N) contractions sized by the bond dimensions. The
-    result is normalized, right-canonical, and never worse than the
-    truncated-SVD rounding it starts from. A zero input is rejected.
+    truncated-SVD start counts as sweep 0, so a converged start costs one
+    sweep. The result is normalized, right-canonical, and never worse
+    than that start. A zero input is rejected.
     """
     start = tt_round(m, TruncationPolicy.rank(opts.target_chi)).canonicalize("right")
     if not np.any(start.cores[0]):
@@ -292,8 +294,9 @@ def compress_als(m: Mps, opts: CompressionOptions) -> Mps:
     env = [np.ones((1, 1))] * (m.n_sites + 1)
     for i in range(m.n_sites - 1):
         env[i + 1] = _env_step(env[i], work[i], target[i])
-
-    ovl = -np.inf
+    # Sweep 0 is the start itself: |<start|m>| over its norm, core 0's.
+    ovl = abs(_env_step(env[-2], work[-1], target[-1])[0, 0])
+    ovl /= np.linalg.norm(start.cores[0])
     for _ in range(opts.max_sweeps):
         for _half in ("left to right", "right to left"):
             work, target, env = _mirror(work), _mirror(target), env[::-1]
@@ -316,20 +319,21 @@ def _left_sweep(cores: list[np.ndarray], factor) -> list[np.ndarray]:
         al, _, ar = cores[i].shape
         q, carry = factor(cores[i].reshape(al * 2, ar))
         cores[i] = q.reshape(al, 2, q.shape[1])
-        cores[i + 1] = np.tensordot(carry, cores[i + 1], axes=([1], [0]))
+        nxt = cores[i + 1]
+        cores[i + 1] = (carry @ nxt.reshape(len(nxt), -1)).reshape(len(carry), 2, -1)
     return cores
 
 
 def _env_step(env: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Extend a ``(a bond, b bond)`` environment by one pair of cores."""
-    tmp = np.tensordot(env, a, axes=([0], [0]))  # (b, s, c)
-    return np.tensordot(tmp, b, axes=([0, 1], [0, 1]))  # (c, d)
+    tmp = (env.T @ a.reshape(len(a), -1)).reshape(-1, a.shape[2])  # (b s, c)
+    return tmp.T @ b.reshape(-1, b.shape[2])  # (c, d)
 
 
 def _local_target(left: np.ndarray, t: np.ndarray, right: np.ndarray) -> np.ndarray:
     # Best single-site core given the environments on either side.
-    tmp = np.tensordot(left, t, axes=([1], [0]))  # (a, s, d)
-    return np.tensordot(tmp, right, axes=([2], [1]))  # (a, s, c)
+    tmp = (left @ t.reshape(len(t), -1)).reshape(-1, t.shape[2])  # (a s, d)
+    return (tmp @ right.T).reshape(len(left), 2, -1)  # (a, s, c)
 
 
 def _als_half_sweep(work: list, target: list, env: list) -> float:

@@ -386,18 +386,15 @@ class SchemaError(ValueError):
 
 
 def serialize_circuit(circuit: Circuit, path) -> None:
-    """Write a circuit as JSON (row-major matrices, application order)."""
-    payload = {
-        "n_qubits": circuit.n_qubits,
-        "format_version": FORMAT_VERSION,
-        "gates": [
-            {"qubits": list(g.qubits), "matrix": g.matrix.tolist()}
-            for g in circuit.gates
-        ],
-    }
+    """Write a circuit as JSON (row-major matrices, application order),
+    one gate per line."""
+    head = {"n_qubits": circuit.n_qubits, "format_version": FORMAT_VERSION}
+    gates = ",\n".join(
+        json.dumps({"qubits": list(g.qubits), "matrix": g.matrix.tolist()})
+        for g in circuit.gates
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        fh.write(f'{json.dumps(head)[:-1]}, "gates": [\n{gates}\n]}}\n')
 
 
 def _require(obj: dict, key: str, path: str):

@@ -13,7 +13,7 @@ from mpsprep import (
     truncated_svd,
 )
 from mpsprep.functions import DistributionSpec, pdf
-from mpsprep.linalg import _SIGN_EPS, _fix_svd_signs
+from mpsprep.linalg import _SIGN_EPS, _fix_svd_signs, _qr_signed
 
 
 def _fix_svd_signs_loop(u, vt):
@@ -193,6 +193,18 @@ class TestQr:
         with pytest.raises(ValueError, match="rows >= cols"):
             qr_orthonormalize(np.ones((2, 3)))
 
+    @pytest.mark.parametrize(
+        "shape,rank", [((6, 3), 3), ((4, 4), 4), ((2, 5), 2), ((5, 3), 1), ((3, 5), 1)]
+    )
+    def test_signed_qr_any_shape(self, rng, shape, rank):
+        # tall, square, wide, and rank-deficient tall and wide
+        rows, cols = shape
+        m = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+        q, r = _qr_signed(m)
+        assert q.shape == (rows, min(shape)) and r.shape == (min(shape), cols)
+        assert np.all(np.diagonal(r) >= 0)
+        assert np.max(np.abs(q @ r - m)) <= 1e-12 * np.max(np.abs(m))
+
 
 class TestPolyfit:
     def test_exact_line(self):
@@ -272,3 +284,24 @@ class TestNullSpaceCompletion:
         a = null_space_completion(rows)
         b = null_space_completion(rows.copy())
         assert np.array_equal(a, b)
+
+    def test_stack_matches_single_calls(self, rng):
+        for n_cols, n_rows in ((4, 1), (4, 2), (6, 3)):
+            mats = [
+                qr_orthonormalize(rng.standard_normal((n_cols, n_rows)))[0].T
+                for _ in range(6)
+            ]
+            mats.append(np.eye(n_cols)[:n_rows])
+            stack = np.array(mats).reshape(7, 1, n_rows, n_cols)
+            out = null_space_completion(stack)
+            assert out.shape == (7, 1, n_cols - n_rows, n_cols)
+            for got, rows in zip(out[:, 0], mats):
+                assert np.array_equal(got, null_space_completion(rows))
+
+    def test_stack_error_names_matrix(self, rng):
+        stack = np.array(
+            [qr_orthonormalize(rng.standard_normal((4, 2)))[0].T for _ in range(5)]
+        )
+        stack[3, 1] *= 2.0
+        with pytest.raises(ValueError, match=r"stack index \(3,\)\) not orthonormal"):
+            null_space_completion(stack)

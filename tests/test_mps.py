@@ -16,6 +16,7 @@ from mpsprep import (
     unfolding_spectra,
 )
 from mpsprep.linalg import _qr_signed, truncated_svd
+from mpsprep.mps import _env_step, _left_sweep, _local_target
 from mpsprep.functions import (
     DistributionSpec,
     assemble,
@@ -303,6 +304,91 @@ class TestCompressAls:
             CompressionOptions(convergence_tol=0.0)
         with pytest.raises(ValueError):
             CompressionOptions(max_sweeps=0)
+
+
+def _relative_gap(got, want):
+    return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)
+
+
+class TestContractions:
+    """The matmul contractions against their tensordot formulas."""
+
+    BONDS = (1, 2, 3, 5)
+
+    def _bonds(self, rng, k):
+        return [int(b) for b in rng.choice(self.BONDS, size=k)]
+
+    def test_env_step(self, rng):
+        for _ in range(40):
+            a, b, c, d = self._bonds(rng, 4)
+            env = rng.standard_normal((a, b))
+            ca, cb = rng.standard_normal((a, 2, c)), rng.standard_normal((b, 2, d))
+            tmp = np.tensordot(env, ca, axes=([0], [0]))
+            want = np.tensordot(tmp, cb, axes=([0, 1], [0, 1]))
+            got = _env_step(env, ca, cb)
+            assert got.shape == want.shape == (c, d)
+            assert _relative_gap(got, want) <= 1e-15
+
+    def test_local_target(self, rng):
+        for _ in range(40):
+            a, b, c, d = self._bonds(rng, 4)
+            left, right = rng.standard_normal((a, b)), rng.standard_normal((c, d))
+            t = rng.standard_normal((b, 2, d))
+            tmp = np.tensordot(left, t, axes=([1], [0]))
+            want = np.tensordot(tmp, right, axes=([2], [1]))
+            got = _local_target(left, t, right)
+            assert got.shape == want.shape == (a, 2, c)
+            assert _relative_gap(got, want) <= 1e-15
+
+    def test_left_sweep_carry(self, rng):
+        for _ in range(20):
+            bonds = [1] + self._bonds(rng, 4) + [1]
+            cores = [
+                rng.standard_normal((bonds[i], 2, bonds[i + 1])) for i in range(5)
+            ]
+            want = list(cores)
+            for i in range(4):
+                al, _, ar = want[i].shape
+                q, carry = _qr_signed(want[i].reshape(al * 2, ar))
+                want[i] = q.reshape(al, 2, q.shape[1])
+                want[i + 1] = np.tensordot(carry, want[i + 1], axes=([1], [0]))
+            got = _left_sweep(list(cores), _qr_signed)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                assert _relative_gap(g, w) <= 1e-15
+
+
+class TestSweepZeroStoppingRule:
+    """The truncated-SVD start counts as sweep 0 of compress_als."""
+
+    @pytest.mark.parametrize(
+        "kind,domain",
+        [
+            ("gaussian", (0.0, 2.0)),
+            ("lognormal", (0.0, 5.0)),
+            ("lorentzian", (0.0, 2.0)),
+        ],
+    )
+    def test_converged_start_costs_one_sweep(self, kind, domain):
+        spec = DistributionSpec(kind, mu=1.0, sigma=1.0, domain=domain)
+        grid = Grid(64, *spec.domain)
+        m = assemble(fit_piecewise(spec, grid, 3, 3), grid)
+        default = compress_als(m, CompressionOptions())
+        one = compress_als(m, CompressionOptions(max_sweeps=1))
+        for a, b in zip(default.cores, one.cores):
+            assert np.array_equal(a, b)
+
+    def test_unconverged_start_sweeps_on(self, rng):
+        m = random_mps(8, 8, rng)
+        opts = CompressionOptions(target_chi=2)
+        start = tt_round(m, TruncationPolicy.rank(2))
+        f_start = abs(overlap(start, m)) / start.norm()
+        one = compress_als(m, CompressionOptions(target_chi=2, max_sweeps=1))
+        f_one = abs(overlap(one, m))
+        assert f_one - f_start > opts.convergence_tol * f_one  # sweep 1 gains
+        more = compress_als(m, opts)
+        assert not all(np.array_equal(a, b) for a, b in zip(more.cores, one.cores))
+        assert abs(overlap(more, m)) >= f_one - 1e-12 * f_one
 
 
 def _reference_right_canonical(cores):
