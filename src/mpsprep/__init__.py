@@ -12,7 +12,6 @@ from .linalg import (
     SvdResult,
     TruncationPolicy,
     null_space_completion,
-    polyfit_least_squares,
     qr_orthonormalize,
     svd,
     truncated_svd,

@@ -4,12 +4,14 @@ A :class:`DistributionSpec` names a probability density on an interval;
 the amplitude to prepare is the square root of that density sampled on a
 uniform 2^N-point grid and normalized. The grid is split into 2^k
 regions addressed by the leading k bits, and each region gets an
-independent least-squares polynomial fit of the amplitude in its local
-coordinate t = x - x_start, so nothing depends on where the domain sits.
+independent least-squares polynomial fit of the amplitude, divided by
+its largest fit sample, in the region coordinate u = (x - x_start) / span
+in [0, 1], so neither the domain's position nor its scale reaches the
+coefficients. No other module knows this coordinate.
 
 The piecewise polynomial is encoded as one MPS directly: the first k
 sites route the region's bit prefix to that region's coefficients, and
-the remaining sites are binomial-transfer cores that expand powers of t
+the remaining sites are binomial-transfer cores that expand powers of u
 bit by bit. The transfer cores are shared by all regions, so every bond
 past cut k is at most degree+1, the TT rank of a degree-p polynomial.
 """
@@ -23,7 +25,6 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import polyfit_least_squares
 from .mps import Mps, _check_dense
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
 
 _KINDS = ("gaussian", "lognormal", "lorentzian", "custom")
 _TINY = float(np.finfo(float).tiny)
+_BLOCK = 2**16  # grid points per block of target_amplitudes
 
 
 @dataclass(frozen=True)
@@ -172,9 +174,9 @@ def pdf_derivative(spec: DistributionSpec, x):
 
 
 def _sqrt_density(spec: DistributionSpec, xs: np.ndarray) -> np.ndarray:
-    """sqrt(pdf) at xs; a negative or NaN density value is an error naming x."""
+    """sqrt(pdf) at xs; a negative, infinite or NaN density is an error naming x."""
     vals = np.asarray(pdf(spec, xs), dtype=float)
-    bad = ~(vals >= 0)
+    bad = ~((vals >= 0) & (vals < np.inf))
     if np.any(bad):
         i = int(np.argmax(bad))
         v, x = vals.flat[i], xs.flat[i]
@@ -185,13 +187,23 @@ def _sqrt_density(spec: DistributionSpec, xs: np.ndarray) -> np.ndarray:
 
 
 def target_amplitudes(spec: DistributionSpec, n_qubits: int) -> np.ndarray:
-    """Exact normalized amplitude vector: sqrt(pdf) on the grid, unit norm."""
+    """Exact normalized amplitude vector: sqrt(pdf) on the grid, unit norm.
+
+    Made block by block, with grid points as ``np.linspace`` makes them.
+    """
     _check_dense(n_qubits, "target_amplitudes")
-    amps = _sqrt_density(spec, Grid.for_spec(spec, n_qubits).points())
-    nrm = np.linalg.norm(amps)
+    grid = Grid.for_spec(spec, n_qubits)
+    out = np.empty(grid.size)
+    for lo in range(0, grid.size, _BLOCK):
+        xs = np.arange(lo, min(lo + _BLOCK, grid.size)) * grid.spacing + grid.a
+        if lo + xs.size == grid.size:
+            xs[-1] = grid.b
+        out[lo : lo + xs.size] = _sqrt_density(spec, xs)
+    nrm = np.linalg.norm(out)
     if nrm == 0.0:
         raise ValueError("density vanishes on the entire grid")
-    return amps / nrm
+    out /= nrm
+    return out
 
 
 @dataclass(frozen=True)
@@ -202,38 +214,36 @@ class Region:
     start: int
     stop: int
     x_start: float
-    x_end: float
+
+
+def _block(n_qubits: int, support_bit: int) -> int:
+    """Grid points per region, 2^(N-k), for a valid support bit k."""
+    if not 0 <= support_bit < n_qubits:
+        raise ValueError(f"support_bit must be in [0, {n_qubits}), got {support_bit}")
+    return 2 ** (n_qubits - support_bit)
 
 
 def subdivide(grid: Grid, support_bit: int) -> list[Region]:
     """Split the grid into 2^k contiguous regions keyed by the top k bits.
 
     Region j covers grid indices [j * 2^(N-k), (j+1) * 2^(N-k)); the
-    membership of an index is exactly its k-bit big-endian prefix. The
-    reported coordinates span the region's first through last grid point.
+    membership of an index is exactly its k-bit big-endian prefix.
     """
-    if not 0 <= support_bit < grid.n_qubits:
-        raise ValueError(
-            f"support_bit must be in [0, {grid.n_qubits}), got {support_bit}"
-        )
-    block = 2 ** (grid.n_qubits - support_bit)
-    regions = []
-    for j in range(2**support_bit):
-        start, stop = j * block, (j + 1) * block
-        regions.append(
-            Region(j, start, stop, grid.point(start), grid.point(stop - 1))
-        )
-    return regions
+    block = _block(grid.n_qubits, support_bit)
+    return [
+        Region(j, j * block, (j + 1) * block, grid.point(j * block))
+        for j in range(2**support_bit)
+    ]
 
 
 @dataclass(frozen=True)
 class PiecewisePoly:
     """Independent degree-p fits of the amplitude, one per bit-prefix region.
 
-    Coefficients are lowest-degree first in the region's local coordinate
-    t = x - x_start, which runs over 0, spacing, 2 * spacing, ... inside
-    the region; all regions share these t values. No continuity is
-    enforced at region boundaries.
+    Coefficients are lowest-degree first in the region coordinate
+    u = (x - x_start) / span, span being the region's first-to-last grid
+    distance: u runs over 0, 1/(block-1), ..., 1 in every region. No
+    continuity is enforced at region boundaries.
     """
 
     support_bit: int
@@ -252,13 +262,13 @@ class PiecewisePoly:
     def values(self, grid: Grid) -> np.ndarray:
         """Evaluate the piecewise polynomial at every grid point."""
         _check_dense(grid.n_qubits, "PiecewisePoly.values")
-        block = subdivide(grid, self.support_bit)[0].stop
-        ts = np.arange(block) * grid.spacing
+        block = _block(grid.n_qubits, self.support_bit)
+        us = np.arange(block) / (block - 1)
         coeffs = np.array(self.regions, dtype=float).T[:, :, None]
         # Horner's rule in place on one (regions, block) array.
-        out = coeffs[-1] + ts * 0
+        out = coeffs[-1] + us * 0
         for c in coeffs[-2::-1]:
-            out *= ts
+            out *= us
             out += c
         return out.reshape(-1)
 
@@ -272,23 +282,35 @@ def fit_piecewise(
 ) -> PiecewisePoly:
     """Least-squares fit of sqrt(pdf) over each region separately.
 
-    Each region is sampled at ``samples_per_region`` uniformly spaced
-    points spanning its grid coordinates and fit in its local coordinate
-    t = x - x_start. Regions are fit independently and may be
-    discontinuous at the seams.
+    Every region is sampled at the same ``samples_per_region`` values of
+    u = linspace(0, 1), i.e. at x = x_start + u * span, and the samples
+    are divided by the largest one. All regions are then fit in one
+    least-squares solve with a Legendre design matrix in v = 2u - 1, one
+    right-hand side per region, and the result is mapped to powers of u.
+    Regions are fit independently and may be discontinuous at the seams.
     """
     if samples_per_region < degree + 1:
         raise ValueError(
             f"need at least degree+1={degree + 1} samples per region, "
             f"got {samples_per_region}"
         )
-    fits = []
-    for region in subdivide(grid, support_bit):
-        span = (region.stop - 1 - region.start) * grid.spacing
-        ts = np.linspace(0.0, span, samples_per_region)
-        ys = _sqrt_density(spec, region.x_start + ts)
-        fits.append(tuple(polyfit_least_squares(ts, ys, degree)))
-    return PiecewisePoly(support_bit=support_bit, degree=degree, regions=tuple(fits))
+    starts = np.array([r.x_start for r in subdivide(grid, support_bit)])
+    span = (_block(grid.n_qubits, support_bit) - 1) * grid.spacing
+    us = np.linspace(0.0, 1.0, samples_per_region)
+    ys = _sqrt_density(spec, starts[:, None] + us * span)
+    peak = ys.max()
+    if peak == 0.0:
+        raise ValueError("density vanishes on every fit sample")
+    design = np.polynomial.legendre.legvander(2.0 * us - 1.0, degree)
+    legendre = np.linalg.lstsq(design, (ys / peak).T, rcond=None)[0]
+    # to_powers[e, n]: coefficient of u^e in the Legendre polynomial P_n(2u - 1)
+    d = range(degree + 1)
+    to_powers = np.array(
+        [[(-1) ** (n + e) * math.comb(n, e) * math.comb(n + e, e) for n in d] for e in d],
+        dtype=float,
+    )
+    coeffs = to_powers @ legendre
+    return PiecewisePoly(support_bit, degree, tuple(map(tuple, coeffs.T)))
 
 
 def _binomial_shift(tau, degree: int) -> np.ndarray:
@@ -308,13 +330,13 @@ def poly_mps(coeffs, grid: Grid) -> Mps:
     """Encode a polynomial of the grid coordinate x as an MPS, exactly.
 
     ``coeffs`` are lowest-degree first in x. They are re-expanded about
-    the domain start (x = grid.a + t) and encoded as a one-region
+    the domain start (x = grid.a + width * u) and encoded as a one-region
     :func:`assemble`, so the bond dimension is at most degree+1.
     """
     a = np.asarray(coeffs, dtype=float).reshape(-1)
     if a.size == 0:
         raise ValueError("need at least one coefficient")
-    local = a @ _binomial_shift(grid.a, a.size - 1)
+    local = a @ _binomial_shift(grid.a, a.size - 1) * grid.width ** np.arange(a.size)
     return assemble(PiecewisePoly(0, a.size - 1, (tuple(local),)), grid)
 
 
@@ -322,18 +344,17 @@ def assemble(pp: PiecewisePoly, grid: Grid) -> Mps:
     """Encode the piecewise polynomial as one MPS, exactly.
 
     Sites 0..k-2 route the region's bit prefix (bond 2^(j+1)); site k-1
-    emits each region's local coefficients; sites k..N-1 carry the
-    monomial basis of the remaining in-region offset t through shared
-    binomial-transfer cores of bond degree+1. Bit s of site j adds
-    s * 2^(N-1-j) * spacing to t. The result evaluates to
+    emits each region's coefficients; sites k..N-1 carry the monomial
+    basis of the region coordinate u through shared binomial-transfer
+    cores of bond degree+1. Bit s of site j adds s * 2^(N-1-j) / (block-1)
+    to u, where block = 2^(N-k). The result evaluates to
     :meth:`PiecewisePoly.values` at every grid point. It is not
     normalized; normalization happens once, before gate extraction.
     """
     k, n, width = pp.support_bit, grid.n_qubits, pp.degree + 1
-    if not 0 <= k < n:
-        raise ValueError(f"support_bit must be in [0, {n}), got {k}")
+    block = _block(n, k)
     coeffs = np.array(pp.regions, dtype=float)
-    taus = 2.0 ** np.arange(n - 1 - k, -1, -1) * grid.spacing
+    taus = 2.0 ** np.arange(n - 1 - k, -1, -1) / (block - 1)
     tail = np.empty((n - k, width, 2, width))
     tail[:, :, 0, :] = np.eye(width)
     tail[:, :, 1, :] = _binomial_shift(taus, pp.degree)

@@ -21,7 +21,6 @@ __all__ = [
     "svd",
     "truncated_svd",
     "qr_orthonormalize",
-    "polyfit_least_squares",
     "null_space_completion",
 ]
 
@@ -173,30 +172,6 @@ def qr_orthonormalize(a) -> tuple[np.ndarray, np.ndarray]:
     if m.shape[0] < m.shape[1]:
         raise ValueError(f"need rows >= cols, got shape {m.shape}")
     return _qr_signed(m)
-
-
-def polyfit_least_squares(xs, ys, degree: int) -> np.ndarray:
-    """Least-squares polynomial fit, coefficients returned lowest degree first.
-
-    The fit runs in a shifted/scaled coordinate on [-1, 1] to keep the
-    Vandermonde system well conditioned, then the result is expanded back
-    to the coordinates of ``xs``.
-    """
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    if x.ndim != 1 or y.ndim != 1 or len(x) != len(y):
-        raise ValueError("xs and ys must be 1-d sequences of equal length")
-    if len(np.unique(x)) < degree + 1:
-        raise ValueError(
-            f"need at least {degree + 1} distinct sample points for degree {degree}"
-        )
-    fitted = np.polynomial.Polynomial.fit(x, y, deg=degree)
-    coeffs = fitted.convert().coef
-    if len(coeffs) < degree + 1:  # trailing zeros dropped by convert()
-        coeffs = np.pad(coeffs, (0, degree + 1 - len(coeffs)))
-    return coeffs
 
 
 def null_space_completion(rows) -> np.ndarray:

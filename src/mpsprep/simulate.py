@@ -164,8 +164,10 @@ class ErrorDecomposition:
     ``total`` is 1 - F(exact target, circuit output), both dense.
     ``mps_error`` = 1 - |<assembled|compressed>| / ||assembled|| and
     ``gate_error`` = 1 - |<compressed|circuit state>| are exact MPS
-    overlaps. Shares are drops normalized by the total infidelity (zero
-    when the pipeline is lossless).
+    overlaps. Each share is one drop divided by the total infidelity
+    (zero when the pipeline is lossless). The drops start from
+    different baselines, so the shares need not sum to 1 when the
+    infidelity is large.
     """
 
     pp_error: float

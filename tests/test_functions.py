@@ -155,6 +155,21 @@ class TestTargetAmplitudes:
         with pytest.raises(ValueError, match=msg):
             encode(RunConfig(spec=spec, n_qubits=6))
 
+    def test_infinite_density_names_x(self):
+        # grid points 0, 1, 2, 3; region 1's first fit sample is x = 2
+        spec = DistributionSpec(
+            "custom", domain=(0.0, 3.0), pdf_fn=lambda x: np.where(x > 1.5, np.inf, 1.0)
+        )
+        with pytest.raises(ValueError, match="density 'custom' is inf at x=2$"):
+            target_amplitudes(spec, 2)
+        with pytest.raises(ValueError, match="fit stage: density 'custom' is inf at x=2$"):
+            encode(RunConfig(spec=spec, n_qubits=2, support_bit=1))
+
+    def test_zero_density_named_in_fit_stage(self):
+        spec = DistributionSpec("custom", domain=(0.0, 2.0), pdf_fn=lambda x: 0.0 * x)
+        with pytest.raises(ValueError, match="^fit stage: density vanishes on every fit sample$"):
+            encode(RunConfig(spec=spec, n_qubits=6))
+
     def test_dense_limit(self, monkeypatch):
         monkeypatch.setenv("MPSPREP_DENSE_LIMIT", "4")
         spec = DistributionSpec("gaussian", mu=1.0, sigma=1.0, domain=(0.0, 2.0))
@@ -205,10 +220,12 @@ class TestFitPiecewise:
         )
         grid = Grid(6, 0.0, 2.0)
         pp = fit_piecewise(spec, grid, 2, 1)
-        # local coordinate t = x - x_start: sqrt(pdf) = (x_start + 1) + t
+        # region coordinate u = (x - x_start) / span, samples divided by the
+        # largest one, sqrt(pdf(2)) = 3: sqrt(pdf) / 3 = (x_start + 1 + span * u) / 3
+        span = 15 * grid.spacing
         for region, coeffs in zip(subdivide(grid, 2), pp.regions):
-            assert coeffs[0] == pytest.approx(region.x_start + 1.0, abs=1e-10)
-            assert coeffs[1] == pytest.approx(1.0, abs=1e-10)
+            assert coeffs[0] == pytest.approx((region.x_start + 1.0) / 3, abs=1e-10)
+            assert coeffs[1] == pytest.approx(span / 3, abs=1e-10)
 
     def test_gaussian_pointwise_residual(self):
         spec = DistributionSpec("gaussian", mu=1.0, sigma=1.0, domain=(0.0, 2.0))
@@ -216,12 +233,16 @@ class TestFitPiecewise:
         pp = fit_piecewise(spec, grid, 3, 3)
         got = pp.values(grid)
         want = np.sqrt(pdf(spec, grid.points()))
+        # the fit divides by its largest sample; region ends are fit samples
+        # and the grid points nearest the peak at mu=1 are region ends
+        want /= np.max(want)
         assert np.max(np.abs(got - want)) <= 1e-3 * np.max(want)
 
     def test_residual_monotone_in_degree(self):
         spec = DistributionSpec("gaussian", mu=1.0, sigma=0.1, domain=(0.0, 2.0))
         grid = Grid(8, 0.0, 2.0)
         want = np.sqrt(pdf(spec, grid.points()))
+        want /= np.max(want)  # the largest fit sample, as in the test above
         residuals = []
         for p in range(2, 6):
             pp = fit_piecewise(spec, grid, 3, p)
@@ -284,20 +305,21 @@ class TestMaskRegion:
         assert np.allclose(got, [1, 1, 1, 1, 0, 0, 0, 0])
 
     def test_linear_second_half(self):
-        # t = x - x_start runs 0, 1 in the second half of [0, 3]
+        # u = (x - x_start) / span runs 0, 1 in each half of the 4-point grid
         pp = PiecewisePoly(support_bit=1, degree=1, regions=((0.0, 0.0), (2.0, 1.0)))
         got = assemble(pp, Grid(2, 0.0, 3.0)).to_statevector()
         assert np.allclose(got, [0, 0, 2, 3], atol=1e-12)
 
     def test_partition_of_unity(self, rng):
-        # one polynomial cut into 2^k regions, each re-expanded about its start
+        # one polynomial cut into 2^k regions, each re-expanded in its u
         g = Grid(6, -1.0, 1.0)
         coeffs = rng.uniform(-1, 1, size=4)
         want = poly_mps(coeffs, g).to_statevector()
         for k in (1, 2, 3):
+            span = (2 ** (6 - k) - 1) * g.spacing
             regions = tuple(
                 tuple(np.polynomial.Polynomial(coeffs)(
-                    np.polynomial.Polynomial([r.x_start, 1.0])).coef)
+                    np.polynomial.Polynomial([r.x_start, span])).coef)
                 for r in subdivide(g, k)
             )
             pp = PiecewisePoly(support_bit=k, degree=3, regions=regions)
@@ -328,9 +350,9 @@ class TestPiecewiseValues:
     def _polyval_values(pp, grid):
         # The numpy polyval evaluation that `values` replaced, kept as the reference.
         block = subdivide(grid, pp.support_bit)[0].stop
-        ts = np.arange(block) * grid.spacing
+        us = np.arange(block) / (block - 1)
         coeffs = np.array(pp.regions, dtype=float).T
-        return np.polynomial.polynomial.polyval(ts, coeffs).reshape(-1)
+        return np.polynomial.polynomial.polyval(us, coeffs).reshape(-1)
 
     @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.kind)
     def test_matches_polyval_bit_for_bit(self, spec):
@@ -341,6 +363,34 @@ class TestPiecewiseValues:
                     pp = fit_piecewise(spec, g, k, p)
                     assert np.array_equal(pp.values(g), self._polyval_values(pp, g))
 
+    @staticmethod
+    def _per_region_fit_values(spec, grid, k, p, samples=64):
+        # One np.polynomial.Polynomial.fit per region in u, on the samples
+        # divided by the largest one: the reference for the batched solve.
+        us = np.linspace(0.0, 1.0, samples)
+        regions = subdivide(grid, k)
+        ys = [
+            np.sqrt(pdf(spec, grid.point(r.start)
+                        + us * (grid.point(r.stop - 1) - grid.point(r.start))))
+            for r in regions
+        ]
+        peak = max(np.max(y) for y in ys)
+        block = regions[0].stop
+        grid_us = np.arange(block) / (block - 1)
+        return np.concatenate(
+            [np.polynomial.Polynomial.fit(us, y / peak, p)(grid_us) for y in ys]
+        )
+
+    @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.kind)
+    def test_batched_fit_matches_per_region_fit(self, spec):
+        for n in (4, 9, 16):
+            g = Grid.for_spec(spec, n)
+            for k in (0, 1, 3):
+                for p in (0, 1, 3, 5):
+                    got = fit_piecewise(spec, g, k, p).values(g)
+                    want = self._per_region_fit_values(spec, g, k, p)
+                    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_dense_limit(self, monkeypatch):
         monkeypatch.setenv("MPSPREP_DENSE_LIMIT", "4")
         pp = PiecewisePoly(support_bit=1, degree=1, regions=((1.0, 0.5), (2.0, -0.5)))
@@ -350,10 +400,11 @@ class TestPiecewiseValues:
 
 class TestAssemble:
     def test_k0_equals_poly_mps(self):
+        # on [0, 2] one region has u = x / 2: 1 + u/2 - u^2/4 = 1 + x/4 - x^2/16
         g = Grid(5, 0.0, 2.0)
         pp = PiecewisePoly(support_bit=0, degree=2, regions=((1.0, 0.5, -0.25),))
         got = assemble(pp, g).to_statevector()
-        want = poly_mps([1.0, 0.5, -0.25], g).to_statevector()
+        want = poly_mps([1.0, 0.25, -0.0625], g).to_statevector()
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_step_function(self):
@@ -401,6 +452,30 @@ class TestAssemble:
                 fids.append(encode(RunConfig(spec=spec, n_qubits=n))[1].fidelity)
             assert fids[0] >= 0.999
             assert abs(fids[0] - fids[1]) <= 1e-9
+
+    @pytest.mark.parametrize("kind", ["gaussian", "lognormal", "lorentzian"])
+    def test_scale_and_translation_invariant(self, kind):
+        # the domain scales by s, and mu and sigma with it (the lognormal's
+        # log-mean shifts by log s); the last target is the s=1 density
+        # translated by 1e6
+        def scaled(s):
+            if kind == "lognormal":
+                return DistributionSpec(
+                    kind, mu=np.log(s), sigma=0.44, domain=(0.125 * s, 5.0 * s)
+                )
+            return DistributionSpec(kind, mu=s, sigma=0.44 * s, domain=(0.0, 2.0 * s))
+
+        base = scaled(1.0)
+        a, b = base.domain
+        shifted = DistributionSpec(
+            "custom", domain=(a + 1e6, b + 1e6), pdf_fn=lambda x: pdf(base, x - 1e6)
+        )
+        others = [scaled(s) for s in (1e-150, 1e-60, 1e60, 1e150)] + [shifted]
+        for p in (3, 5):
+            want = encode(RunConfig(spec=base, n_qubits=12, degree=p))[1].fidelity
+            for spec in others:
+                got = encode(RunConfig(spec=spec, n_qubits=12, degree=p))[1].fidelity
+                assert abs(got - want) <= 1e-12
 
 
 class TestDiscretizationRefinement:

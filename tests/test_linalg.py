@@ -7,12 +7,10 @@ from mpsprep import (
     SvdConvergenceError,
     TruncationPolicy,
     null_space_completion,
-    polyfit_least_squares,
     qr_orthonormalize,
     svd,
     truncated_svd,
 )
-from mpsprep.functions import DistributionSpec, pdf
 from mpsprep.linalg import _SIGN_EPS, _fix_svd_signs, _qr_signed
 
 
@@ -204,46 +202,6 @@ class TestQr:
         assert q.shape == (rows, min(shape)) and r.shape == (min(shape), cols)
         assert np.all(np.diagonal(r) >= 0)
         assert np.max(np.abs(q @ r - m)) <= 1e-12 * np.max(np.abs(m))
-
-
-class TestPolyfit:
-    def test_exact_line(self):
-        coeffs = polyfit_least_squares([0, 1, 2], [1, 3, 5], 1)
-        assert np.allclose(coeffs, [1.0, 2.0], atol=1e-12)
-
-    def test_exact_parabola(self):
-        coeffs = polyfit_least_squares([0, 1, 2, 3], [0, 1, 4, 9], 2)
-        assert np.allclose(coeffs, [0.0, 0.0, 1.0], atol=1e-12)
-
-    def test_residual_decreases_with_degree(self):
-        spec = DistributionSpec("gaussian", mu=0.0, sigma=1.0, domain=(0.0, 0.25))
-        xs = np.linspace(0.0, 0.25, 50)
-        ys = np.sqrt(pdf(spec, xs))
-
-        def residual(deg):
-            coeffs = polyfit_least_squares(xs, ys, deg)
-            fit = np.polynomial.polynomial.polyval(xs, coeffs)
-            return np.linalg.norm(fit - ys)
-
-        assert residual(3) < residual(2)
-
-    def test_exact_recovery_up_to_degree_5(self, rng):
-        for _ in range(25):
-            p = int(rng.integers(0, 6))
-            coeffs = rng.uniform(-2, 2, size=p + 1)
-            xs = np.linspace(-1.5, 2.5, max(p + 1, 12))
-            ys = np.polynomial.polynomial.polyval(xs, coeffs)
-            got = polyfit_least_squares(xs, ys, p)
-            assert np.max(np.abs(got - coeffs)) <= 1e-8
-
-    def test_underdetermined_errors(self):
-        with pytest.raises(ValueError, match="distinct"):
-            polyfit_least_squares([1.0, 1.0, 1.0], [2.0, 2.0, 2.0], 1)
-
-    def test_length_accounts_for_trailing_zeros(self):
-        coeffs = polyfit_least_squares([0, 1, 2, 3], [1, 1, 1, 1], 3)
-        assert len(coeffs) == 4
-        assert np.allclose(coeffs, [1, 0, 0, 0], atol=1e-10)
 
 
 class TestNullSpaceCompletion:
