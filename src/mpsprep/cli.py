@@ -181,7 +181,7 @@ def _cmd_encode(args) -> int:
                 _sig12(e.total),
             )
         )
-    print(f"gates {report.gate_count} max_bond {max(report.compressed_bonds)}")
+    print(f"gates {len(circuit.gates)} max_bond {report.result.compressed.max_bond}")
     return 0
 
 

@@ -66,6 +66,18 @@ def _check_dense(n: int, what: str) -> None:
         )
 
 
+def _dense_vector(v) -> tuple[np.ndarray, int]:
+    """``v`` flattened to floats, with its qubit count n; it must be
+    finite and of length 2^n with n >= 1."""
+    vec = np.asarray(v, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(vec)):
+        raise ValueError("input vector contains non-finite entries")
+    n = int(vec.size).bit_length() - 1
+    if vec.size < 2 or vec.size != 2**n:
+        raise ValueError(f"length must be a power of two >= 2, got {vec.size}")
+    return vec, n
+
+
 class Mps:
     """Chain of ``(left, bit, right)`` cores encoding a 2^N-entry vector.
 
@@ -189,8 +201,8 @@ class CompressionOptions:
             raise ValueError("target_chi must be >= 1")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
-        if self.convergence_tol <= 0:
-            raise ValueError("convergence_tol must be > 0")
+        if not self.convergence_tol > 0:
+            raise ValueError(f"convergence_tol must be > 0, got {self.convergence_tol}")
 
 
 def to_mps_exact(v, policy: TruncationPolicy | None = None) -> Mps:
@@ -201,12 +213,7 @@ def to_mps_exact(v, policy: TruncationPolicy | None = None) -> Mps:
     by the sum of all squared omitted singular values across the sweeps.
     The result is left-canonical by construction.
     """
-    vec = np.asarray(v, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(vec)):
-        raise ValueError("input vector contains non-finite entries")
-    n = int(vec.size).bit_length() - 1
-    if vec.size < 2 or vec.size != 2**n:
-        raise ValueError(f"length must be a power of two >= 2, got {vec.size}")
+    vec, n = _dense_vector(v)
     if not np.any(vec):
         raise ValueError("cannot factor the zero vector")
     _check_dense(n, "to_mps_exact")
@@ -357,10 +364,7 @@ def _als_half_sweep(work: list, target: list, env: list) -> float:
 
 def unfolding_spectra(v) -> list[np.ndarray]:
     """Singular spectra of all N-1 big-endian matrix reshapings of a vector."""
-    vec = np.asarray(v, dtype=float).reshape(-1)
-    n = int(vec.size).bit_length() - 1
-    if vec.size < 2 or vec.size != 2**n:
-        raise ValueError(f"length must be a power of two >= 2, got {vec.size}")
+    vec, n = _dense_vector(v)
     return [
         np.linalg.svd(vec.reshape(2**j, -1), compute_uv=False) for j in range(1, n)
     ]
@@ -370,13 +374,15 @@ def bipartite_vne(spectrum) -> float:
     """Von Neumann entropy of a Schmidt spectrum (natural log).
 
     The squared singular values are normalized to a probability vector
-    internally; zero weights contribute nothing.
+    internally, after scaling by the largest one so that no square
+    overflows or underflows; zero weights contribute nothing.
     """
     s = np.asarray(spectrum, dtype=float)
-    weights = s**2
-    total = weights.sum()
-    if total <= 0.0:
+    if not np.all(np.isfinite(s) & (s >= 0.0)):
+        raise ValueError("singular values must be finite and non-negative")
+    if not np.any(s):
         raise ValueError("spectrum has no weight")
-    lam = weights / total
+    lam = (s / s.max()) ** 2
+    lam /= lam.sum()
     lam = lam[lam > 0.0]
     return float(-np.sum(lam * np.log(lam)))

@@ -2,17 +2,18 @@
 
 The encode entry point drives the full construction for one target
 (fit, assemble, compress, extract) and returns the circuit together with
-a report carrying fidelity, the per-stage error split, bond profiles,
-and stage timings. Sweep helpers fan the same run out over standard
-deviations, polynomial degrees, or system sizes and emit rows with a
-stable column order, so repeated campaigns diff cleanly (timing columns
-excepted). Circuits round-trip losslessly through a small JSON schema.
+a report carrying fidelity, the per-stage error split, and the run it
+was made from, whose bond profiles and stage timings the report reads.
+Sweep helpers fan the same run out over standard deviations, polynomial
+degrees, or system sizes and emit rows with a stable column order, so
+repeated campaigns diff cleanly (timing columns excepted). Circuits
+round-trip losslessly through a small JSON schema.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +31,7 @@ from .mps import (
 from .linalg import TruncationPolicy
 from .simulate import (
     ErrorDecomposition,
+    PipelineResult,
     _gate_fidelity,
     build_pipeline,
     error_decomposition,
@@ -53,24 +55,6 @@ __all__ = [
     "render_csv",
     "CSV_COLUMNS",
 ]
-
-CSV_COLUMNS = (
-    "distribution",
-    "mu",
-    "sigma",
-    "N",
-    "k",
-    "p",
-    "chi",
-    "fidelity",
-    "pp_err",
-    "mps_err",
-    "gate_err",
-    "gate_count",
-    "t_fit_ms",
-    "t_compress_ms",
-    "t_extract_ms",
-)
 
 FORMAT_VERSION = "1"
 
@@ -101,32 +85,46 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Outcome of one encoding run, JSON friendly via :meth:`to_dict`."""
+    """Outcome of one encoding run, JSON friendly via :meth:`to_dict`.
 
-    config: dict
+    ``result`` is the run itself: every stage's output and timing, from
+    which the bond profiles, the gate count and the timings are read.
+    The report adds only what verification measured: ``fidelity``,
+    against what (``fidelity_vs``), and the per-stage ``errors`` on
+    registers within the dense limit.
+    """
+
+    config: RunConfig
+    result: PipelineResult
     fidelity: float
     fidelity_vs: str  # "exact_target" or "compressed_mps" above the dense limit
     errors: ErrorDecomposition | None
-    assembled_bonds: tuple[int, ...]
-    compressed_bonds: tuple[int, ...]
-    gate_count: int
-    t_fit_ms: float
-    t_compress_ms: float
-    t_extract_ms: float
-    decay_fit: DecayFit | None = None
 
     def to_dict(self) -> dict:
+        spec, opts, res = self.config.spec, self.config.compression, self.result
         out = {
-            "config": self.config,
+            "config": {
+                "distribution": spec.kind,
+                "mu": spec.mu,
+                "sigma": spec.sigma,
+                "domain": list(spec.domain),
+                "n_qubits": self.config.n_qubits,
+                "support_bit": self.config.support_bit,
+                "degree": self.config.degree,
+                "samples_per_region": self.config.samples_per_region,
+                "target_chi": opts.target_chi,
+                "max_sweeps": opts.max_sweeps,
+                "convergence_tol": opts.convergence_tol,
+            },
             "fidelity": self.fidelity,
             "fidelity_vs": self.fidelity_vs,
-            "assembled_bonds": list(self.assembled_bonds),
-            "compressed_bonds": list(self.compressed_bonds),
-            "gate_count": self.gate_count,
+            "assembled_bonds": list(res.assembled.bond_dims),
+            "compressed_bonds": list(res.compressed.bond_dims),
+            "gate_count": len(res.circuit.gates),
             "timings_ms": {
-                "fit": self.t_fit_ms,
-                "compress": self.t_compress_ms,
-                "extract": self.t_extract_ms,
+                "fit": res.t_fit_ms,
+                "compress": res.t_compress_ms,
+                "extract": res.t_extract_ms,
             },
         }
         if self.errors is not None:
@@ -137,39 +135,17 @@ class RunReport:
                 "total": self.errors.total,
                 "shares": self.errors.shares,
             }
-        if self.decay_fit is not None:
-            out["decay_fit"] = {
-                "alpha": self.decay_fit.joint[0],
-                "beta": self.decay_fit.joint[1],
-                "r_squared": self.decay_fit.r_squared,
-            }
         return out
 
 
-def _config_echo(config: RunConfig) -> dict:
-    spec, opts = config.spec, config.compression
-    return {
-        "distribution": spec.kind,
-        "mu": spec.mu,
-        "sigma": spec.sigma,
-        "domain": list(spec.domain),
-        "n_qubits": config.n_qubits,
-        "support_bit": config.support_bit,
-        "degree": config.degree,
-        "samples_per_region": config.samples_per_region,
-        "target_chi": opts.target_chi,
-        "max_sweeps": opts.max_sweeps,
-        "convergence_tol": opts.convergence_tol,
-    }
-
-
-def encode(config: RunConfig, include_decay_fit: bool = False) -> tuple[Circuit, RunReport]:
+def encode(config: RunConfig) -> tuple[Circuit, RunReport]:
     """Run the full construction and report fidelity plus error sources.
 
     When the register fits the dense limit, fidelity is measured against
     the exact target state; otherwise only against the compressed MPS,
     by the same MPS overlap that gives ``gate_error`` below the limit,
-    and the report says so.
+    and the report says so. The report keeps the run's
+    :class:`PipelineResult` as ``report.result``.
     """
     result = build_pipeline(
         config.spec,
@@ -179,35 +155,12 @@ def encode(config: RunConfig, include_decay_fit: bool = False) -> tuple[Circuit,
         config.samples_per_region,
         config.compression,
     )
-    dense_ok = config.n_qubits <= dense_qubit_limit()
-    errors = None
-    decay = None
-    if dense_ok:
+    if config.n_qubits <= dense_qubit_limit():
         errors = error_decomposition(result)
-        fid = errors.fidelity
-        fid_vs = "exact_target"
-        if include_decay_fit:
-            decay = fit_decay(
-                unfolding_spectra(target_amplitudes(result.spec, config.n_qubits))
-            )
+        fid, fid_vs = errors.fidelity, "exact_target"
     else:
-        fid = _gate_fidelity(result)
-        fid_vs = "compressed_mps"
-
-    report = RunReport(
-        config=_config_echo(config),
-        fidelity=fid,
-        fidelity_vs=fid_vs,
-        errors=errors,
-        assembled_bonds=result.assembled.bond_dims,
-        compressed_bonds=result.compressed.bond_dims,
-        gate_count=len(result.circuit.gates),
-        t_fit_ms=result.t_fit_ms,
-        t_compress_ms=result.t_compress_ms,
-        t_extract_ms=result.t_extract_ms,
-        decay_fit=decay,
-    )
-    return result.circuit, report
+        errors, fid, fid_vs = None, _gate_fidelity(result), "compressed_mps"
+    return result.circuit, RunReport(config, result, fid, fid_vs, errors)
 
 
 @dataclass(frozen=True)
@@ -236,6 +189,9 @@ class SweepRow:
         return [_sig12(getattr(self, col)) for col in CSV_COLUMNS]
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRow) if f.name != "error")
+
+
 def render_csv(rows: Sequence[SweepRow]) -> str:
     """Header plus one line per row; always includes the header."""
     lines = [",".join(CSV_COLUMNS)]
@@ -258,7 +214,7 @@ def _run_cell(config: RunConfig) -> SweepRow:
         _, report = encode(config)
     except Exception as exc:  # record the failure, keep sweeping
         return SweepRow(**base, error=str(exc))
-    err = report.errors
+    err, res = report.errors, report.result
     nan = float("nan")
     return SweepRow(
         **base,
@@ -266,10 +222,10 @@ def _run_cell(config: RunConfig) -> SweepRow:
         pp_err=err.pp_error if err else nan,
         mps_err=err.mps_error if err else nan,
         gate_err=err.gate_error if err else nan,
-        gate_count=report.gate_count,
-        t_fit_ms=report.t_fit_ms,
-        t_compress_ms=report.t_compress_ms,
-        t_extract_ms=report.t_extract_ms,
+        gate_count=len(res.circuit.gates),
+        t_fit_ms=res.t_fit_ms,
+        t_compress_ms=res.t_compress_ms,
+        t_extract_ms=res.t_extract_ms,
     )
 
 

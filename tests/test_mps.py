@@ -304,6 +304,8 @@ class TestCompressAls:
             CompressionOptions(convergence_tol=0.0)
         with pytest.raises(ValueError):
             CompressionOptions(max_sweeps=0)
+        with pytest.raises(ValueError, match="convergence_tol"):
+            CompressionOptions(convergence_tol=float("nan"))
 
 
 def _relative_gap(got, want):
@@ -512,6 +514,21 @@ class TestUnfoldingSpectra:
         for j, s in enumerate(spectra, start=1):
             assert len(s) == min(2**j, 2 ** (5 - j))
 
+    @pytest.mark.parametrize(
+        "v, match",
+        [
+            ([np.inf, 1.0, 1.0, 1.0], "non-finite"),
+            ([np.nan, 1.0, 1.0, 1.0], "non-finite"),
+            ([1.0], "power of two >= 2"),
+            ([1.0] * 6, "power of two >= 2"),
+        ],
+    )
+    def test_bad_input_rejected(self, v, match):
+        # the one dense-vector check, shared with to_mps_exact
+        for fn in (unfolding_spectra, to_mps_exact):
+            with pytest.raises(ValueError, match=match):
+                fn(np.array(v))
+
 
 class TestBipartiteVne:
     def test_pure_product(self):
@@ -522,11 +539,17 @@ class TestBipartiteVne:
         assert bipartite_vne([s, s]) == pytest.approx(np.log(2), abs=1e-12)
 
     def test_normalizes_internally(self):
-        assert bipartite_vne([2.0, 2.0]) == pytest.approx(np.log(2), abs=1e-12)
+        for scale in (2.0, 1e-170, 1e154):  # no square under- or overflows
+            assert bipartite_vne([scale, scale]) == pytest.approx(np.log(2), abs=1e-12)
 
     def test_zero_spectrum_rejected(self):
         with pytest.raises(ValueError, match="weight"):
             bipartite_vne([0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_invalid_spectrum_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            bipartite_vne([bad, 1.0])
 
     def test_vne_increment_bounded(self):
         # entropy growth from one added qubit stays below the analytic cap

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -40,9 +41,9 @@ class TestEncode:
         _, report = encode(gaussian_config(n=10))
         assert report.fidelity >= 0.999
         assert report.fidelity_vs == "exact_target"
-        assert report.gate_count == 10
-        assert max(report.compressed_bonds) <= 2
-        assert max(report.assembled_bonds) == 4
+        assert len(report.result.circuit.gates) == 10
+        assert report.result.compressed.max_bond <= 2
+        assert report.result.assembled.max_bond == 4
 
     def test_squeezed_gaussian(self):
         _, report = encode(gaussian_config(n=10, sigma=0.1))
@@ -62,12 +63,28 @@ class TestEncode:
         )
 
     def test_report_roundtrips_to_json(self):
-        _, report = encode(gaussian_config(n=6), include_decay_fit=True)
+        _, report = encode(gaussian_config(n=6))
         blob = json.dumps(report.to_dict())
         parsed = json.loads(blob)
         assert parsed["config"]["distribution"] == "gaussian"
         assert parsed["errors"]["total"] >= 0
-        assert "beta" in parsed["decay_fit"]
+
+    def test_report_reads_the_run(self):
+        # bonds, gate count and timings have one record: the run's result
+        cfg = gaussian_config(n=6)
+        circuit, report = encode(cfg)
+        assert [f.name for f in dataclasses.fields(report)] == [
+            "config", "result", "fidelity", "fidelity_vs", "errors"
+        ]
+        assert report.config is cfg
+        assert report.result.circuit is circuit
+        d, res = report.to_dict(), report.result
+        assert d["assembled_bonds"] == list(res.assembled.bond_dims)
+        assert d["compressed_bonds"] == list(res.compressed.bond_dims)
+        assert d["gate_count"] == len(circuit.gates)
+        assert d["timings_ms"] == {
+            "fit": res.t_fit_ms, "compress": res.t_compress_ms, "extract": res.t_extract_ms
+        }
 
     def test_report_fidelity_self_consistent(self, tmp_path):
         # re-derive the reported fidelity from the emitted circuit alone
@@ -135,8 +152,8 @@ class TestEncode:
     def test_rank1_target(self):
         cfg = gaussian_config(n=7, compression=CompressionOptions(target_chi=1))
         circuit, report = encode(cfg)
-        assert max(report.compressed_bonds) == 1
-        assert report.gate_count == 7
+        assert report.result.compressed.max_bond == 1
+        assert len(circuit.gates) == 7
         assert 0.9 < report.fidelity <= 1.0
 
 
@@ -239,6 +256,13 @@ class TestSweeps:
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 2
         assert len(lines[1].split(",")) == len(CSV_COLUMNS)
+
+    def test_csv_header_pinned(self):
+        # the column order the README documents
+        assert render_csv([]) == (
+            "distribution,mu,sigma,N,k,p,chi,fidelity,pp_err,mps_err,gate_err,"
+            "gate_count,t_fit_ms,t_compress_ms,t_extract_ms\n"
+        )
 
 
 class TestDeterminism:
@@ -542,9 +566,11 @@ class TestCli:
     def test_io_error_exit_code(self, tmp_path):
         assert main(["validate", str(tmp_path / "missing.json")]) == 3
 
-    def test_numerical_error_exit_code(self):
+    def test_numerical_error_exit_code(self, capsys):
         # lognormal over a negative domain is rejected by validation
         assert main(["encode", "--dist", "lognormal", "--domain=-1,1"]) == 2
+        assert main(["encode", "--n", "6", "--tol", "nan"]) == 2
+        assert "convergence_tol must be > 0, got nan" in capsys.readouterr().err
 
     def test_config_file_defaults_and_override(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
