@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import DistributionSpec, Grid, pdf, pdf_derivative
+from .linalg import RANK_FLOOR
 
 __all__ = [
     "DecayFit",
@@ -25,9 +26,6 @@ __all__ = [
     "optimality_ratio",
     "max_derivative",
 ]
-
-_FLOOR_RATIO = 1e-13
-
 
 @dataclass(frozen=True)
 class DecayFit:
@@ -56,8 +54,8 @@ def _loglinear(ks: np.ndarray, logs: np.ndarray) -> tuple[float, float]:
 def fit_decay(spectra) -> DecayFit:
     """Fit the exponential decay model to singular spectra.
 
-    Values below 1e-13 of each cut's leading singular value are treated
-    as numerical noise and excluded. Cuts left with fewer than two points
+    Only values above ``RANK_FLOOR`` of each cut's largest, the cut's
+    numerical rank, enter the fit. Cuts left with fewer than two points
     are skipped with a warning; if every cut is skipped this raises.
     """
     per_cut = []
@@ -69,7 +67,7 @@ def fit_decay(spectra) -> DecayFit:
             warnings.warn(f"cut {j}: empty or zero spectrum, skipped")
             per_cut.append(None)
             continue
-        keep = s > _FLOOR_RATIO * s[0]
+        keep = s > RANK_FLOOR * s[0]
         ks = np.arange(1, s.size + 1, dtype=float)[keep]
         vals = s[keep]
         if ks.size < 2:

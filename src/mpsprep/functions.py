@@ -71,8 +71,10 @@ class DistributionSpec:
         a, b = self.domain
         if not (a < b):
             raise ValueError(f"domain must satisfy a < b, got {self.domain}")
-        if self.kind != "custom" and self.sigma <= 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu}")
+        if not math.isfinite(self.sigma) or (self.kind != "custom" and self.sigma <= 0):
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
         if self.kind == "custom" and self.pdf_fn is None:
             raise ValueError("custom distributions need a pdf_fn")
         if self.kind == "lognormal" and a < 0:

@@ -26,6 +26,22 @@ __all__ = [
 
 _SIGN_EPS = 1e-12
 
+# A singular value counts toward a cut's numerical rank only when it is
+# strictly above this fraction of the cut's largest; the rest is round-off.
+RANK_FLOOR = 1e-13
+
+
+def _int_field(obj, name: str) -> None:
+    """Store field ``name`` of the frozen dataclass ``obj`` as a Python int.
+
+    Numpy integers are accepted; a bool, float, str or any other type is
+    a ValueError that names the field.
+    """
+    value = getattr(obj, name)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    object.__setattr__(obj, name, int(value))
+
 
 class SvdConvergenceError(RuntimeError):
     """Raised when the iterative SVD solver exhausts its iteration budget."""
@@ -49,8 +65,10 @@ class TruncationPolicy:
     threshold: float | None = None
 
     def __post_init__(self):
-        if self.max_rank is not None and self.max_rank < 1:
-            raise ValueError(f"max_rank must be >= 1, got {self.max_rank}")
+        if self.max_rank is not None:
+            _int_field(self, "max_rank")
+            if self.max_rank < 1:
+                raise ValueError(f"max_rank must be >= 1, got {self.max_rank}")
         if self.threshold is not None and self.threshold < 0:
             raise ValueError(f"threshold must be >= 0, got {self.threshold}")
 

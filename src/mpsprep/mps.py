@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TruncationPolicy, _qr_signed, truncated_svd
+from .linalg import RANK_FLOOR, TruncationPolicy, _int_field, _qr_signed, truncated_svd
 
 __all__ = [
     "Mps",
@@ -197,6 +197,8 @@ class CompressionOptions:
     convergence_tol: float = 1e-10
 
     def __post_init__(self):
+        _int_field(self, "target_chi")
+        _int_field(self, "max_sweeps")
         if self.target_chi < 1:
             raise ValueError("target_chi must be >= 1")
         if self.max_sweeps < 1:
@@ -208,10 +210,10 @@ class CompressionOptions:
 def to_mps_exact(v, policy: TruncationPolicy | None = None) -> Mps:
     """Factor a dense vector into an MPS by successive truncated SVDs.
 
-    With the default exact policy the reconstruction is exact up to
-    round-off. With truncation, the squared dense-vector error is bounded
-    by the sum of all squared omitted singular values across the sweeps.
-    The result is left-canonical by construction.
+    Each bond is the cut's numerical rank: the values ``policy`` keeps
+    above ``RANK_FLOOR`` of the cut's largest, at least one. The squared
+    dense-vector error is bounded by the sum of all squared omitted
+    singular values across the sweep. The result is left-canonical.
     """
     vec, n = _dense_vector(v)
     if not np.any(vec):
@@ -220,20 +222,20 @@ def to_mps_exact(v, policy: TruncationPolicy | None = None) -> Mps:
     if policy is None:
         policy = TruncationPolicy.exact()
 
-    cores = []
-    c = vec.reshape(1, -1)
-    left = 1
+    cores, c = [], vec.reshape(1, -1)
     for _ in range(n - 1):
-        c = c.reshape(left * 2, -1)
-        res = truncated_svd(c, policy)
-        # Exactly-zero singular values carry no weight; dropping them keeps
-        # the factorization exact while giving product states unit bonds.
-        keep = max(1, int(np.count_nonzero(res.s)))
-        cores.append(res.u[:, :keep].reshape(left, 2, keep))
-        c = res.s[:keep, None] * res.vt[:keep, :]
-        left = keep
-    cores.append(c.reshape(left, 2, 1))
+        u, c = _svd_step(c.reshape(2 * len(c), -1), policy)
+        cores.append(u.reshape(-1, 2, u.shape[1]))
+    cores.append(c.reshape(-1, 2, 1))
     return Mps(cores)
+
+
+def _svd_step(mat: np.ndarray, policy: TruncationPolicy):
+    """``(u, s vt)`` of ``truncated_svd(mat, policy)``, cut to the values
+    above ``RANK_FLOOR`` of the largest, keeping at least one."""
+    res = truncated_svd(mat, policy)
+    keep = max(1, int(np.sum(res.s > RANK_FLOOR * res.s[0])))
+    return res.u[:, :keep], res.s[:keep, None] * res.vt[:keep]
 
 
 def add(a: Mps, b: Mps) -> Mps:
@@ -265,17 +267,13 @@ def overlap(a: Mps, b: Mps) -> float:
 
 
 def tt_round(m: Mps, policy: TruncationPolicy) -> Mps:
-    """Reduce bond dimensions by a sweep of truncated SVDs.
+    """Cut each bond to its numerical rank under ``policy`` by an SVD sweep.
 
     The input is right-canonicalized first so each local truncation is
     optimal for the whole state; the result is left-canonical.
     """
-
-    def factor(mat):
-        res = truncated_svd(mat, policy)
-        return res.u, res.s[:, None] * res.vt
-
-    return Mps(_left_sweep(list(m.canonicalize("right").cores), factor))
+    cores = list(m.canonicalize("right").cores)
+    return Mps(_left_sweep(cores, lambda mat: _svd_step(mat, policy)))
 
 
 def compress_als(m: Mps, opts: CompressionOptions) -> Mps:

@@ -28,7 +28,7 @@ from .mps import (
     to_mps_exact,
     unfolding_spectra,
 )
-from .linalg import TruncationPolicy
+from .linalg import TruncationPolicy, _int_field
 from .simulate import (
     ErrorDecomposition,
     PipelineResult,
@@ -77,6 +77,8 @@ class RunConfig:
     compression: CompressionOptions = CompressionOptions()
 
     def __post_init__(self):
+        for name in ("n_qubits", "support_bit", "degree", "samples_per_region"):
+            _int_field(self, name)
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be >= 1")
         if not 0 <= self.support_bit < self.n_qubits:

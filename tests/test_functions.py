@@ -91,6 +91,22 @@ class TestPdf:
         with pytest.raises(ValueError, match="lognormal"):
             DistributionSpec("lognormal", domain=(-1.0, 1.0))
 
+    @pytest.mark.parametrize("kind", ["gaussian", "lognormal", "lorentzian", "custom"])
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("mu", float("nan"), "mu must be finite, got nan"),
+            ("mu", float("inf"), "mu must be finite, got inf"),
+            ("sigma", float("nan"), "sigma must be finite and > 0, got nan"),
+            ("sigma", float("inf"), "sigma must be finite and > 0, got inf"),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, kind, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            DistributionSpec(
+                kind, domain=(0.5, 2.0), pdf_fn=np.ones_like, **{field: value}
+            )
+
     def test_lognormal_zero_bound_resolution(self):
         spec = DistributionSpec("lognormal", mu=1.0, sigma=0.5, domain=(0.0, 5.0))
         assert spec.domain == (0.125, 5.0)  # pinned at construction

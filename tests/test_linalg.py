@@ -161,6 +161,11 @@ class TestTruncatedSvd:
     def test_invalid_policy(self):
         with pytest.raises(ValueError):
             TruncationPolicy(max_rank=0)
+        for bad in (2.5, 2.0, True, "2"):
+            with pytest.raises(ValueError, match="max_rank must be an integer"):
+                TruncationPolicy(max_rank=bad)
+        policy = TruncationPolicy(max_rank=np.int64(2))
+        assert type(policy.max_rank) is int and policy == TruncationPolicy.rank(2)
 
 
 class TestQr:

@@ -113,6 +113,17 @@ class TestToMpsExact:
         bound = sum(np.sum(s[chi:] ** 2) for s in unfolding_spectra(v))
         assert err2 <= bound + 1e-10
 
+    def test_bonds_are_numerical_rank(self):
+        # Each bond counts the cut's Schmidt values above 1e-13 of its
+        # largest; cut 6 has 64 values, of which 5 are not round-off.
+        spec = DistributionSpec("gaussian", mu=1.0, sigma=1.0, domain=(0.0, 2.0))
+        t = target_amplitudes(spec, 12)
+        m = to_mps_exact(t)
+        ranks = [int(np.sum(s > 1e-13 * s[0])) for s in unfolding_spectra(t)]
+        assert m.bond_dims[1:-1] == tuple(ranks)
+        assert m.bond_dims[6] == 5
+        assert np.max(np.abs(m.to_statevector() - t)) <= 1e-12
+
 
 class TestAdd:
     def test_constants(self):
@@ -306,6 +317,15 @@ class TestCompressAls:
             CompressionOptions(max_sweeps=0)
         with pytest.raises(ValueError, match="convergence_tol"):
             CompressionOptions(convergence_tol=float("nan"))
+        for name, bad in [
+            ("max_sweeps", 2.5), ("max_sweeps", True), ("max_sweeps", "3"),
+            ("target_chi", 2.0), ("target_chi", True), ("target_chi", "2"),
+        ]:
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                CompressionOptions(**{name: bad})
+        opts = CompressionOptions(target_chi=np.int64(3), max_sweeps=np.int32(4))
+        assert type(opts.target_chi) is int and type(opts.max_sweeps) is int
+        assert opts == CompressionOptions(target_chi=3, max_sweeps=4)
 
 
 def _relative_gap(got, want):

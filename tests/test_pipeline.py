@@ -107,6 +107,16 @@ class TestEncode:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="support_bit"):
             gaussian_config(n=3, support_bit=3)
+        spec = gaussian_config().spec
+        for name in ("n_qubits", "support_bit", "degree", "samples_per_region"):
+            for bad in (2.5, 6.0, True, "6"):
+                with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                    RunConfig(**{"spec": spec, "n_qubits": 8, name: bad})
+        cfg = gaussian_config(
+            n=np.int64(8), support_bit=np.int32(2), degree=np.int64(3)
+        )
+        assert {type(cfg.n_qubits), type(cfg.support_bit), type(cfg.degree)} == {int}
+        json.dumps(encode(cfg)[1].to_dict())  # the echo stays JSON
 
     def test_dense_only_commands_refuse_big_registers(self, monkeypatch):
         monkeypatch.setenv("MPSPREP_DENSE_LIMIT", "6")
@@ -148,6 +158,28 @@ class TestEncode:
         cli = _resolve_run_config(build_parser().parse_args(["encode"]))
         for name in ("support_bit", "degree", "samples_per_region", "compression"):
             assert getattr(cli, name) == getattr(cfg, name)
+
+    def test_round_off_bonds_are_one(self):
+        # A constant density is a product state: every second Schmidt value
+        # is round-off, so no compressed bond is 2.
+        spec = DistributionSpec("custom", domain=(0.0, 1.0), pdf_fn=np.ones_like)
+        _, report = encode(RunConfig(spec=spec, n_qubits=12))
+        assert report.result.compressed.bond_dims == (1,) * 13
+        assert report.fidelity >= 1.0 - 1e-14
+
+    def test_gates_settle_in_one_sweep_at_large_n(self):
+        # No gate column is set by a round-off Schmidt value, so a second
+        # ALS sweep moves the gates only as much as it moves the state.
+        cfgs = [
+            gaussian_config(n=512, sigma=0.44, compression=opts)
+            for opts in (
+                CompressionOptions(max_sweeps=1),
+                CompressionOptions(max_sweeps=2, convergence_tol=1e-300),
+            )
+        ]
+        (one, _), (two, _) = (encode(cfg) for cfg in cfgs)
+        pairs = zip(one.gates, two.gates)
+        assert max(np.max(np.abs(a.matrix - b.matrix)) for a, b in pairs) <= 1e-10
 
     def test_rank1_target(self):
         cfg = gaussian_config(n=7, compression=CompressionOptions(target_chi=1))
@@ -571,6 +603,8 @@ class TestCli:
         assert main(["encode", "--dist", "lognormal", "--domain=-1,1"]) == 2
         assert main(["encode", "--n", "6", "--tol", "nan"]) == 2
         assert "convergence_tol must be > 0, got nan" in capsys.readouterr().err
+        assert main(["spectra", "--n", "6", "--sigma", "nan"]) == 2
+        assert "sigma must be finite and > 0, got nan" in capsys.readouterr().err
 
     def test_config_file_defaults_and_override(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
