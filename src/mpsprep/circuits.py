@@ -6,9 +6,9 @@ bottom, plus a final single-qubit gate. The layout is stated once, in
 ``_staircase_qubits``: gate t acts on qubits (t, t+1) and moves the
 running bond state one qubit down the chain, and the last gate acts on
 qubit N-1 alone. Extraction emits it, and inversion and validation
-compare against it. The specified gate columns come straight from the
-right-canonical cores and the rest are filled with a deterministic
-kernel completion, so identical inputs yield bit-identical circuits.
+compare against it. Gate columns come straight from right-canonical
+cores (other input is canonicalized first) and a deterministic kernel
+completion fills the rest, so identical inputs yield bit-identical circuits.
 """
 
 from __future__ import annotations
@@ -115,12 +115,23 @@ def _final_gate_from_core(core: np.ndarray) -> np.ndarray:
     return gate
 
 
+def _right_canonical(cores) -> bool:
+    """Whether cores 1..N-1 (bonds <= 2) are right isometries to 1e-13: one
+    batched A A^T of their (left, 2*right) unfoldings, zero-padded to 2x4."""
+    rows = np.zeros((len(cores) - 1, 2, 4))
+    for row, core in zip(rows.reshape(-1, 2, 2, 2), cores[1:]):
+        row[: len(core), :, : core.shape[2]] = core
+    gram = rows @ rows.swapaxes(1, 2)
+    gram[[len(core) == 1 for core in cores[1:]], 1, 1] = 1.0  # the padding row
+    return bool(np.all(np.abs(gram - np.eye(2)) <= 1e-13))
+
+
 def extract_circuit(m: Mps) -> Circuit:
     """Build the staircase preparation circuit for a normalized rank<=2 MPS.
 
-    The input is right-canonicalized internally, since public input may
-    come in any gauge; its norm is then the norm of core 0, which must be
-    1 to within 1e-8. Gate t (t < N-1) is a two-qubit gate on (t, t+1);
+    Input in any gauge is accepted; unless right-canonical already (as
+    ``compress_als`` leaves it), it is canonicalized first. Its norm, core
+    0's, must be 1 to within 1e-8. Gate t (t < N-1) is a two-qubit gate on (t, t+1);
     the last gate is a single-qubit gate on qubit N-1. Applying them in
     list order to |0...0> reproduces every amplitude of the input exactly,
     up to floating point, because a single staircase layer is exact
@@ -131,7 +142,7 @@ def extract_circuit(m: Mps) -> Circuit:
             f"max bond dimension is {m.max_bond}; compress to 2 or less "
             "(e.g. with compress_als) before extracting gates"
         )
-    canon = m.canonicalize("right")
+    canon = m if _right_canonical(m.cores) else m.canonicalize("right")
     nrm = float(np.linalg.norm(canon.cores[0]))
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"input must be normalized, got norm {nrm!r}")

@@ -43,6 +43,22 @@ def _int_field(obj, name: str) -> None:
     object.__setattr__(obj, name, int(value))
 
 
+def _float_field(obj, name: str, strict: bool) -> None:
+    """Store field ``name`` of the frozen dataclass ``obj`` as a Python float
+    that is > 0 (``strict``) or >= 0.
+
+    Python and numpy reals are accepted; a bool, str or any other type,
+    NaN and a value out of range are each a ValueError that names the field.
+    """
+    value = getattr(obj, name)
+    real = (int, float, np.integer, np.floating)
+    if isinstance(value, bool) or not isinstance(value, real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not (value > 0 if strict else value >= 0):  # NaN fails both
+        raise ValueError(f"{name} must be {'>' if strict else '>='} 0, got {value}")
+    object.__setattr__(obj, name, float(value))
+
+
 class SvdConvergenceError(RuntimeError):
     """Raised when the iterative SVD solver exhausts its iteration budget."""
 
@@ -69,8 +85,8 @@ class TruncationPolicy:
             _int_field(self, "max_rank")
             if self.max_rank < 1:
                 raise ValueError(f"max_rank must be >= 1, got {self.max_rank}")
-        if self.threshold is not None and self.threshold < 0:
-            raise ValueError(f"threshold must be >= 0, got {self.threshold}")
+        if self.threshold is not None:
+            _float_field(self, "threshold", strict=False)
 
     @classmethod
     def exact(cls) -> "TruncationPolicy":

@@ -28,7 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RANK_FLOOR, TruncationPolicy, _int_field, _qr_signed, truncated_svd
+from .linalg import (
+    RANK_FLOOR,
+    TruncationPolicy,
+    _float_field,
+    _int_field,
+    _qr_signed,
+    truncated_svd,
+)
 
 __all__ = [
     "Mps",
@@ -101,12 +108,13 @@ class Mps:
                 raise ValueError(
                     f"core {i} must have shape (left, 2, right), got {arr.shape}"
                 )
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"core {i} contains non-finite entries")
             arr.flags.writeable = False
             stored.append(arr)
         if not stored:
             raise ValueError("an MPS needs at least one core")
+        if not np.isfinite(np.concatenate([a.reshape(-1) for a in stored])).all():
+            i = next(i for i, a in enumerate(stored) if not np.isfinite(a).all())
+            raise ValueError(f"core {i} contains non-finite entries")
         if stored[0].shape[0] != 1 or stored[-1].shape[2] != 1:
             raise ValueError("boundary bond dimensions must be 1")
         for i in range(len(stored) - 1):
@@ -203,8 +211,7 @@ class CompressionOptions:
             raise ValueError("target_chi must be >= 1")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
-        if not self.convergence_tol > 0:
-            raise ValueError(f"convergence_tol must be > 0, got {self.convergence_tol}")
+        _float_field(self, "convergence_tol", strict=True)
 
 
 def to_mps_exact(v, policy: TruncationPolicy | None = None) -> Mps:
@@ -269,11 +276,11 @@ def overlap(a: Mps, b: Mps) -> float:
 def tt_round(m: Mps, policy: TruncationPolicy) -> Mps:
     """Cut each bond to its numerical rank under ``policy`` by an SVD sweep.
 
-    The input is right-canonicalized first so each local truncation is
-    optimal for the whole state; the result is left-canonical.
+    A left-canonicalizing QR pass makes each truncation of the right-to-left
+    SVD sweep optimal for the whole state; the result is right-canonical.
     """
-    cores = list(m.canonicalize("right").cores)
-    return Mps(_left_sweep(cores, lambda mat: _svd_step(mat, policy)))
+    cores = _left_sweep(list(m.cores), _qr_signed)
+    return Mps(_mirror(_left_sweep(_mirror(cores), lambda mat: _svd_step(mat, policy))))
 
 
 def compress_als(m: Mps, opts: CompressionOptions) -> Mps:
@@ -286,10 +293,11 @@ def compress_als(m: Mps, opts: CompressionOptions) -> Mps:
     Each local problem contracts the environments with one target core;
     a sweep costs O(N) contractions sized by the bond dimensions. The
     truncated-SVD start counts as sweep 0, so a converged start costs one
-    sweep. The result is normalized, right-canonical, and never worse
-    than that start. A zero input is rejected.
+    sweep; it is right-canonical as ``tt_round`` leaves it. The result is
+    normalized, right-canonical (``extract_circuit`` takes it as it
+    stands), and never worse than that start. A zero input is rejected.
     """
-    start = tt_round(m, TruncationPolicy.rank(opts.target_chi)).canonicalize("right")
+    start = tt_round(m, TruncationPolicy.rank(opts.target_chi))
     if not np.any(start.cores[0]):
         raise ValueError("cannot compress the zero state")
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mpsprep import Circuit, Gate, Mps
+from mpsprep.linalg import _qr_signed
 
 
 def random_mps(n, chi, rng, scaled=False):
@@ -26,3 +27,16 @@ def misplaced_terminal_circuit():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def qr_calls(monkeypatch):
+    """Shapes of the matrices that mpsprep.mps factors by QR, in call order."""
+    calls = []
+
+    def counted(mat):
+        calls.append(mat.shape)
+        return _qr_signed(mat)
+
+    monkeypatch.setattr("mpsprep.mps._qr_signed", counted)
+    return calls

@@ -17,8 +17,20 @@ from mpsprep import (
     to_mps_exact,
     validate_circuit,
 )
+from mpsprep.circuits import _right_canonical
 
 from conftest import misplaced_terminal_circuit, random_mps
+
+
+def compressed_gaussian(n):
+    spec = DistributionSpec("gaussian", mu=1.0, sigma=1.0, domain=(0.0, 2.0))
+    g = Grid(n, 0.0, 2.0)
+    return compress_als(assemble(fit_piecewise(spec, g, 3, 3), g), CompressionOptions())
+
+
+def max_gate_gap(a, b):
+    pairs = zip(a.gates, b.gates)
+    return max(np.max(np.abs(ga.matrix - gb.matrix)) for ga, gb in pairs)
 
 
 class TestExtractCircuit:
@@ -39,11 +51,7 @@ class TestExtractCircuit:
         assert np.allclose(run(circ), np.eye(8)[0], atol=1e-12)
 
     def test_compressed_gaussian(self):
-        spec = DistributionSpec("gaussian", mu=1.0, sigma=1.0, domain=(0.0, 2.0))
-        g = Grid(10, 0.0, 2.0)
-        m = compress_als(
-            assemble(fit_piecewise(spec, g, 3, 3), g), CompressionOptions(target_chi=2)
-        )
+        m = compressed_gaussian(10)
         circ = extract_circuit(m)
         fid = abs(np.dot(run(circ), m.to_statevector()))
         assert fid >= 1.0 - 1e-8
@@ -101,6 +109,26 @@ class TestExtractCircuit:
             circ = extract_circuit(m)
             for gate in circ.gates:
                 assert gate.orthogonality_deviation() <= 1e-10
+
+
+class TestGaugeOnce:
+    """Extraction re-canonicalizes only input that is not right-canonical."""
+
+    def test_any_gauge_gives_the_canonical_circuit(self, rng):
+        for _ in range(10):
+            m = random_mps(int(rng.integers(2, 9)), 2, rng).normalize()
+            canon = m.canonicalize("right")
+            assert not _right_canonical(m.cores) and _right_canonical(canon.cores)
+            assert max_gate_gap(extract_circuit(m), extract_circuit(canon)) <= 1e-14
+
+    def test_compressed_input_needs_no_qr(self, qr_calls):
+        m = compressed_gaussian(12)
+        qr_calls.clear()
+        extract_circuit(m)
+        assert qr_calls == []
+        # The counter does see the pass that non-canonical input needs.
+        extract_circuit(Mps([m.cores[0] * 0.5, m.cores[1] * 2.0] + list(m.cores[2:])))
+        assert len(qr_calls) == 11
 
 
 class TestCircuitToMps:

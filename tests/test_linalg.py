@@ -166,6 +166,13 @@ class TestTruncatedSvd:
                 TruncationPolicy(max_rank=bad)
         policy = TruncationPolicy(max_rank=np.int64(2))
         assert type(policy.max_rank) is int and policy == TruncationPolicy.rank(2)
+        for bad in (float("nan"), "1", True, -1.0):
+            with pytest.raises(ValueError, match="threshold must be"):
+                TruncationPolicy(threshold=bad)
+        policy = TruncationPolicy(threshold=np.float32(0.5))
+        assert type(policy.threshold) is float
+        assert policy == TruncationPolicy(threshold=0.5)
+        assert TruncationPolicy(threshold=None).threshold is None
 
 
 class TestQr:

@@ -31,6 +31,58 @@ def ones_product_state(n):
     return Mps([np.ones((1, 2, 1)) for _ in range(n)])
 
 
+def right_isometry_deviation(m):
+    """Largest deviation of cores 1..N-1 from right isometries."""
+    dev = 0.0
+    for core in m.cores[1:]:
+        mat = core.reshape(len(core), -1)
+        dev = max(dev, np.max(np.abs(mat @ mat.T - np.eye(len(core)))))
+    return dev
+
+
+class TestMpsConstructor:
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="at least one core"):
+            Mps([])
+
+    @pytest.mark.parametrize("shape", [(1, 2), (1, 3, 1), (1, 2, 1, 1)])
+    def test_bad_shape_names_core(self, shape):
+        with pytest.raises(ValueError, match=r"core 1 must have shape \(left, 2,"):
+            Mps([np.ones((1, 2, 1)), np.ones(shape)])
+
+    @pytest.mark.parametrize(
+        "shapes", [[(2, 2, 1)], [(2, 2, 2), (2, 2, 1)], [(1, 2, 2), (2, 2, 2)]]
+    )
+    def test_boundary_bonds(self, shapes):
+        with pytest.raises(ValueError, match="boundary bond dimensions must be 1"):
+            Mps([np.ones(s) for s in shapes])
+
+    def test_bond_mismatch(self):
+        cores = [np.ones((1, 2, 2)), np.ones((2, 2, 2)), np.ones((3, 2, 1))]
+        with pytest.raises(ValueError, match="between cores 1 and 2: 2 vs 3"):
+            Mps(cores)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_names_core(self, rng, bad):
+        cores = random_mps(6, 2, rng).cores
+        for k in (1, 3, 5):
+            copies = [c.copy() for c in cores]
+            copies[k][-1, 1, -1] = bad
+            with pytest.raises(ValueError, match=f"core {k} contains non-finite"):
+                Mps(copies)
+
+    def test_stores_a_read_only_c_ordered_copy(self, rng):
+        src = [rng.standard_normal(s) for s in ((1, 2, 2), (2, 2, 3), (3, 2, 1))]
+        m = Mps(src)
+        before = m.to_statevector()
+        for c in src:
+            c[...] = 7.0
+        assert np.array_equal(m.to_statevector(), before)
+        mirrored = Mps([c.transpose(2, 1, 0) for c in reversed(m.cores)])
+        for c in m.cores + mirrored.cores:
+            assert c.flags.c_contiguous and not c.flags.writeable
+
+
 class TestAmplitude:
     def test_product_of_ones(self):
         m = ones_product_state(4)
@@ -200,10 +252,7 @@ class TestCanonicalize:
 
     def test_right_isometries(self, rng):
         c = random_mps(7, 6, rng).canonicalize("right")
-        for core in c.cores[1:]:
-            al, _, ar = core.shape
-            mat = core.reshape(al, 2 * ar)
-            assert np.max(np.abs(mat @ mat.T - np.eye(al))) <= 1e-10
+        assert right_isometry_deviation(c) <= 1e-10
 
     def test_idempotent(self, rng):
         m = random_mps(6, 4, rng).canonicalize("left")
@@ -234,6 +283,14 @@ class TestTtRound:
     def test_max_bond_respected(self, rng):
         m = random_mps(8, 6, rng)
         assert tt_round(m, TruncationPolicy.rank(3)).max_bond <= 3
+
+    def test_result_right_canonical(self, rng):
+        # The input is taken in any gauge; the result needs no further pass.
+        doubled = add(random_mps(6, 2, rng), random_mps(6, 2, rng))
+        for m in (random_mps(8, 6, rng), doubled, doubled.canonicalize("right")):
+            for chi in (1, 2, 8):
+                r = tt_round(m, TruncationPolicy.rank(chi))
+                assert right_isometry_deviation(r) <= 1e-12
 
     def test_piecewise_sum_matches_dense_oracle(self):
         spec = DistributionSpec("gaussian", mu=1.0, sigma=1.0, domain=(0.0, 2.0))
@@ -326,6 +383,12 @@ class TestCompressAls:
         opts = CompressionOptions(target_chi=np.int64(3), max_sweeps=np.int32(4))
         assert type(opts.target_chi) is int and type(opts.max_sweeps) is int
         assert opts == CompressionOptions(target_chi=3, max_sweeps=4)
+        for bad in ("1e-3", True, float("nan")):
+            with pytest.raises(ValueError, match="convergence_tol must be"):
+                CompressionOptions(convergence_tol=bad)
+        opts = CompressionOptions(convergence_tol=np.float64(1e-8))
+        assert type(opts.convergence_tol) is float
+        assert opts == CompressionOptions(convergence_tol=1e-8)
 
 
 def _relative_gap(got, want):
@@ -426,17 +489,23 @@ def _reference_right_canonical(cores):
 
 def _reference_compress_als(m, opts):
     # compress_als with its two hand-mirrored half sweeps, its own
-    # tt_round loop and separate left and right environment arrays.
+    # tt_round loops (left-to-right QR, then right-to-left SVD, which
+    # leaves the start right-canonical) and separate left and right
+    # environment arrays.
     n = m.n_sites
     policy = TruncationPolicy.rank(opts.target_chi)
-    work = _reference_right_canonical(m.cores)
+    work = list(m.cores)
     for i in range(n - 1):
         al, _, ar = work[i].shape
-        res = truncated_svd(work[i].reshape(al * 2, ar), policy)
-        work[i] = res.u.reshape(al, 2, res.rank)
-        carry = res.s[:, None] * res.vt
-        work[i + 1] = np.tensordot(carry, work[i + 1], axes=([1], [0]))
-    work = _reference_right_canonical(work)
+        q, r = _qr_signed(work[i].reshape(al * 2, ar))
+        work[i] = q.reshape(al, 2, q.shape[1])
+        work[i + 1] = np.tensordot(r, work[i + 1], axes=([1], [0]))
+    for i in range(n - 1, 0, -1):
+        al, _, ar = work[i].shape
+        res = truncated_svd(work[i].reshape(al, 2 * ar), policy)
+        work[i] = res.vt.reshape(res.rank, 2, ar)
+        carry = res.u * res.s
+        work[i - 1] = np.tensordot(work[i - 1], carry, axes=([2], [0]))
     t_cores = m.cores
     right_env = [None] * (n + 1)
     left_env = [None] * (n + 1)

@@ -181,6 +181,16 @@ class TestEncode:
         pairs = zip(one.gates, two.gates)
         assert max(np.max(np.abs(a.matrix - b.matrix)) for a, b in pairs) <= 1e-10
 
+    def test_three_qr_passes(self, qr_calls):
+        # tt_round's left-canonicalizing pass and the two half sweeps of
+        # one ALS sweep; no stage re-canonicalizes what the last one made.
+        counts = []
+        for _ in range(2):
+            qr_calls.clear()
+            encode(gaussian_config(n=64))
+            counts.append(len(qr_calls))
+        assert counts == [3 * 63, 3 * 63]
+
     def test_rank1_target(self):
         cfg = gaussian_config(n=7, compression=CompressionOptions(target_chi=1))
         circuit, report = encode(cfg)
