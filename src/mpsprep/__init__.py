@@ -10,7 +10,6 @@ compressed cores. Every step is verifiable against exact dense oracles.
 from .linalg import (
     SvdConvergenceError,
     SvdResult,
-    TruncationPolicy,
     null_space_completion,
     qr_orthonormalize,
     svd,
@@ -52,6 +51,7 @@ from .circuits import (
 from .simulate import (
     ErrorDecomposition,
     PipelineResult,
+    RunConfig,
     build_pipeline,
     error_decomposition,
     fidelity,
@@ -67,7 +67,6 @@ from .analysis import (
 from .pipeline import (
     CSV_COLUMNS,
     OptimalityReport,
-    RunConfig,
     RunReport,
     SchemaError,
     SpectraSummary,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import DistributionSpec, Grid, pdf, pdf_derivative
-from .linalg import RANK_FLOOR
+from .linalg import RANK_FLOOR, _as_int
 
 __all__ = [
     "DecayFit",
@@ -107,9 +107,9 @@ def chi_bound(beta: float, chi: int, n: int) -> float:
     chi = 0, vanishes at chi >= N, and decreases monotonically in both
     beta and chi.
     """
-    if beta <= 0:
+    if not beta > 0:  # NaN fails too
         raise ValueError(f"beta must be > 0, got {beta}")
-    if chi < 0 or n < 1:
+    if _as_int(chi, "chi") < 0 or n < 1:
         raise ValueError("need chi >= 0 and n >= 1")
     if chi >= n:
         return 0.0

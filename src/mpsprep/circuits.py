@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import null_space_completion
+from .linalg import _as_real, null_space_completion
 from .mps import Mps
 
 __all__ = [
@@ -194,9 +194,12 @@ def validate_circuit(c: Circuit, tol: float = 1e-10) -> ValidationReport:
     """Check gate orthogonality and the staircase layout.
 
     The circuit is a staircase when its gate list is a prefix of the
-    layout :func:`extract_circuit` emits. Never raises; all failures are
-    reported as issues. An empty circuit is trivially valid.
+    layout :func:`extract_circuit` emits. Never raises on a bad circuit;
+    all its failures are reported as issues. An empty circuit is trivially
+    valid. A NaN or negative ``tol`` is a ValueError.
     """
+    if not _as_real(tol, "tol") >= 0:  # NaN fails too
+        raise ValueError(f"tol must be >= 0, got {tol}")
     issues = []
     max_dev = 0.0
     layout = _staircase_qubits(c.n_qubits)

@@ -25,8 +25,8 @@ import numpy as np
 from .functions import DistributionSpec
 from .mps import CompressionOptions
 from .circuits import validate_circuit
+from .simulate import RunConfig
 from .pipeline import (
-    RunConfig,
     SchemaError,
     _sig12,
     deserialize_circuit,

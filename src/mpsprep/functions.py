@@ -25,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 
+from .linalg import _as_real, _real_field
 from .mps import Mps, _check_dense
 
 __all__ = [
@@ -55,6 +56,8 @@ class DistributionSpec:
     2.5 percent of the domain width: enough to clear the singularity and
     the vanishing left tail at any grid resolution, and independent of
     the qubit count so targets are comparable across system sizes.
+    ``mu``, ``sigma`` and the two bounds are stored as floats; a bool,
+    str or other non-real value is a ValueError that names the field.
     """
 
     kind: str
@@ -68,9 +71,16 @@ class DistributionSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        a, b = self.domain
+        try:
+            a, b = self.domain
+        except (TypeError, ValueError):
+            msg = f"domain must be a pair (a, b), got {self.domain!r}"
+            raise ValueError(msg) from None
+        a, b = _as_real(a, "domain bound"), _as_real(b, "domain bound")
         if not (a < b):
             raise ValueError(f"domain must satisfy a < b, got {self.domain}")
+        _real_field(self, "mu")
+        _real_field(self, "sigma")
         if not math.isfinite(self.mu):
             raise ValueError(f"mu must be finite, got {self.mu}")
         if not math.isfinite(self.sigma) or (self.kind != "custom" and self.sigma <= 0):
@@ -80,7 +90,8 @@ class DistributionSpec:
         if self.kind == "lognormal" and a < 0:
             raise ValueError("lognormal support starts at 0; domain must not")
         if self.kind == "lognormal" and a == 0.0:
-            object.__setattr__(self, "domain", ((b - a) / 40.0, b))
+            a = (b - a) / 40.0
+        object.__setattr__(self, "domain", (a, b))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,11 @@ entry, QR factors carry a non-negative R diagonal, and kernel completion
 runs Gram-Schmidt against the canonical basis in index order. These
 conventions make every downstream artifact (cores, gates, serialized
 circuits) reproducible bit for bit.
+
+The rank rule lives in :func:`truncated_svd` alone: a cut keeps its
+numerical rank, the values strictly above ``RANK_FLOOR`` of its largest,
+optionally capped at a maximum rank. The floor is relative, so the
+kept ranks do not change when the matrix is scaled.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ import numpy as np
 __all__ = [
     "SvdConvergenceError",
     "SvdResult",
-    "TruncationPolicy",
     "svd",
     "truncated_svd",
     "qr_orthonormalize",
@@ -31,32 +35,33 @@ _SIGN_EPS = 1e-12
 RANK_FLOOR = 1e-13
 
 
-def _int_field(obj, name: str) -> None:
-    """Store field ``name`` of the frozen dataclass ``obj`` as a Python int.
-
-    Numpy integers are accepted; a bool, float, str or any other type is
-    a ValueError that names the field.
-    """
-    value = getattr(obj, name)
+def _as_int(value, name: str) -> int:
+    """``value`` as a Python int; numpy integers are accepted, and a bool,
+    float, str or any other type is a ValueError that names ``name``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    object.__setattr__(obj, name, int(value))
+    return int(value)
 
 
-def _float_field(obj, name: str, strict: bool) -> None:
-    """Store field ``name`` of the frozen dataclass ``obj`` as a Python float
-    that is > 0 (``strict``) or >= 0.
-
-    Python and numpy reals are accepted; a bool, str or any other type,
-    NaN and a value out of range are each a ValueError that names the field.
-    """
-    value = getattr(obj, name)
-    real = (int, float, np.integer, np.floating)
-    if isinstance(value, bool) or not isinstance(value, real):
+def _as_real(value, name: str) -> float:
+    """``value`` as a Python float; Python and numpy reals are accepted, and
+    a bool, str or any other type is a ValueError that names ``name``.
+    Range rules, NaN included, are the caller's."""
+    if isinstance(value, bool) or not isinstance(
+        value, (int, float, np.integer, np.floating)
+    ):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    if not (value > 0 if strict else value >= 0):  # NaN fails both
-        raise ValueError(f"{name} must be {'>' if strict else '>='} 0, got {value}")
-    object.__setattr__(obj, name, float(value))
+    return float(value)
+
+
+def _int_field(obj, name: str) -> None:
+    """Store field ``name`` of the frozen dataclass ``obj`` via ``_as_int``."""
+    object.__setattr__(obj, name, _as_int(getattr(obj, name), name))
+
+
+def _real_field(obj, name: str) -> None:
+    """Store field ``name`` of the frozen dataclass ``obj`` via ``_as_real``."""
+    object.__setattr__(obj, name, _as_real(getattr(obj, name), name))
 
 
 class SvdConvergenceError(RuntimeError):
@@ -66,44 +71,6 @@ class SvdConvergenceError(RuntimeError):
         super().__init__(f"SVD failed to converge on a {rows}x{cols} matrix")
         self.rows = rows
         self.cols = cols
-
-
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Which singular triplets a truncated SVD keeps.
-
-    ``max_rank`` keeps at most that many leading triplets; ``threshold``
-    drops singular values strictly below it. Both may be combined, in
-    which case the stricter rule wins. The default keeps everything.
-    """
-
-    max_rank: int | None = None
-    threshold: float | None = None
-
-    def __post_init__(self):
-        if self.max_rank is not None:
-            _int_field(self, "max_rank")
-            if self.max_rank < 1:
-                raise ValueError(f"max_rank must be >= 1, got {self.max_rank}")
-        if self.threshold is not None:
-            _float_field(self, "threshold", strict=False)
-
-    @classmethod
-    def exact(cls) -> "TruncationPolicy":
-        return cls()
-
-    @classmethod
-    def rank(cls, chi: int) -> "TruncationPolicy":
-        return cls(max_rank=chi)
-
-    def num_retained(self, singular_values: np.ndarray) -> int:
-        """Number of leading triplets this policy keeps for the given spectrum."""
-        n = len(singular_values)
-        if self.threshold is not None:
-            n = int(np.count_nonzero(singular_values >= self.threshold))
-        if self.max_rank is not None:
-            n = min(n, self.max_rank)
-        return n
 
 
 @dataclass(frozen=True)
@@ -166,26 +133,28 @@ def _raw_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def svd(a) -> SvdResult:
     """Full (thin) SVD with deterministic signs and zero truncation error."""
-    return truncated_svd(a, TruncationPolicy.exact())
-
-
-def truncated_svd(a, policy: TruncationPolicy) -> SvdResult:
-    """SVD keeping only the triplets allowed by ``policy``.
-
-    Left singular vectors have a positive first nonzero entry. The
-    reported ``truncation_error`` equals the Frobenius distance to the
-    best approximation of the retained rank, i.e. sqrt(sum of squared
-    discarded singular values).
-    """
     u, s, vt = _raw_svd(_as_matrix(a))
     u, vt = _fix_svd_signs(u, vt)
-    keep = policy.num_retained(s)
-    if keep == 0:
-        if np.any(s > 0):
-            raise ValueError(
-                "truncation policy retains no singular values of a nonzero matrix"
-            )
-        keep = 1  # zero matrix: keep one null triplet so shapes stay valid
+    return SvdResult(u=u, s=s, vt=vt, truncation_error=0.0)
+
+
+def truncated_svd(a, max_rank: int | None = None) -> SvdResult:
+    """SVD cut to the matrix's numerical rank, capped at ``max_rank``.
+
+    Kept are the leading triplets whose value is strictly above
+    ``RANK_FLOOR`` times the largest: at least one (a zero matrix keeps
+    one null triplet, so shapes stay valid) and at most ``max_rank``.
+    Left singular vectors have a positive first nonzero entry. The
+    reported ``truncation_error`` is the Frobenius distance to the best
+    approximation of the kept rank, sqrt(sum of squared discarded values),
+    counting the values below the floor too.
+    """
+    if max_rank is not None and _as_int(max_rank, "max_rank") < 1:
+        raise ValueError(f"max_rank must be >= 1, got {max_rank}")
+    u, s, vt = _raw_svd(_as_matrix(a))
+    u, vt = _fix_svd_signs(u, vt)
+    keep = max(1, int(np.count_nonzero(s > RANK_FLOOR * s[0])))
+    keep = keep if max_rank is None else min(keep, max_rank)
     err = float(np.sqrt(np.sum(s[keep:] ** 2)))
     return SvdResult(u=u[:, :keep], s=s[:keep], vt=vt[:keep, :], truncation_error=err)
 

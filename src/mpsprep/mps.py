@@ -8,8 +8,10 @@ so a bitstring ``s_0 ... s_{N-1}`` addresses dense index
 
 Provided here: exact construction from dense vectors by successive SVDs,
 evaluation, addition, inner products, canonical forms, rank reduction by
-truncated-SVD sweeps, and variational fixed-rank compression by
-alternating single-site overlap maximization.
+truncated-SVD sweeps (each bond cut to its numerical rank, optionally
+capped at ``max_rank``, by :func:`~mpsprep.linalg.truncated_svd`), and
+variational fixed-rank compression by alternating single-site overlap
+maximization.
 
 Every pass over the chain is written once, left to right; a right-to-left
 pass runs it on the mirrored chain (cores reversed, bond axes swapped).
@@ -28,14 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    RANK_FLOOR,
-    TruncationPolicy,
-    _float_field,
-    _int_field,
-    _qr_signed,
-    truncated_svd,
-)
+from .linalg import _int_field, _qr_signed, _real_field, truncated_svd
 
 __all__ = [
     "Mps",
@@ -211,38 +206,36 @@ class CompressionOptions:
             raise ValueError("target_chi must be >= 1")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
-        _float_field(self, "convergence_tol", strict=True)
+        _real_field(self, "convergence_tol")
+        if not self.convergence_tol > 0:  # NaN fails too
+            raise ValueError(f"convergence_tol must be > 0, got {self.convergence_tol}")
 
 
-def to_mps_exact(v, policy: TruncationPolicy | None = None) -> Mps:
+def to_mps_exact(v, max_rank: int | None = None) -> Mps:
     """Factor a dense vector into an MPS by successive truncated SVDs.
 
-    Each bond is the cut's numerical rank: the values ``policy`` keeps
-    above ``RANK_FLOOR`` of the cut's largest, at least one. The squared
-    dense-vector error is bounded by the sum of all squared omitted
-    singular values across the sweep. The result is left-canonical.
+    Each bond is the cut's numerical rank, capped at ``max_rank`` (see
+    :func:`truncated_svd`). The squared dense-vector error is bounded by
+    the sum of all squared omitted singular values across the sweep. The
+    result is left-canonical.
     """
     vec, n = _dense_vector(v)
     if not np.any(vec):
         raise ValueError("cannot factor the zero vector")
     _check_dense(n, "to_mps_exact")
-    if policy is None:
-        policy = TruncationPolicy.exact()
 
     cores, c = [], vec.reshape(1, -1)
     for _ in range(n - 1):
-        u, c = _svd_step(c.reshape(2 * len(c), -1), policy)
+        u, c = _svd_step(c.reshape(2 * len(c), -1), max_rank)
         cores.append(u.reshape(-1, 2, u.shape[1]))
     cores.append(c.reshape(-1, 2, 1))
     return Mps(cores)
 
 
-def _svd_step(mat: np.ndarray, policy: TruncationPolicy):
-    """``(u, s vt)`` of ``truncated_svd(mat, policy)``, cut to the values
-    above ``RANK_FLOOR`` of the largest, keeping at least one."""
-    res = truncated_svd(mat, policy)
-    keep = max(1, int(np.sum(res.s > RANK_FLOOR * res.s[0])))
-    return res.u[:, :keep], res.s[:keep, None] * res.vt[:keep]
+def _svd_step(mat: np.ndarray, max_rank: int | None):
+    """``(u, s vt)`` of ``truncated_svd(mat, max_rank)``."""
+    res = truncated_svd(mat, max_rank)
+    return res.u, res.s[:, None] * res.vt
 
 
 def add(a: Mps, b: Mps) -> Mps:
@@ -273,14 +266,15 @@ def overlap(a: Mps, b: Mps) -> float:
     return float(env[0, 0])
 
 
-def tt_round(m: Mps, policy: TruncationPolicy) -> Mps:
-    """Cut each bond to its numerical rank under ``policy`` by an SVD sweep.
+def tt_round(m: Mps, max_rank: int | None = None) -> Mps:
+    """Cut each bond to its numerical rank, capped at ``max_rank``, by an
+    SVD sweep.
 
     A left-canonicalizing QR pass makes each truncation of the right-to-left
     SVD sweep optimal for the whole state; the result is right-canonical.
     """
-    cores = _left_sweep(list(m.cores), _qr_signed)
-    return Mps(_mirror(_left_sweep(_mirror(cores), lambda mat: _svd_step(mat, policy))))
+    cores = _mirror(_left_sweep(list(m.cores), _qr_signed))
+    return Mps(_mirror(_left_sweep(cores, lambda mat: _svd_step(mat, max_rank))))
 
 
 def compress_als(m: Mps, opts: CompressionOptions) -> Mps:
@@ -297,7 +291,7 @@ def compress_als(m: Mps, opts: CompressionOptions) -> Mps:
     normalized, right-canonical (``extract_circuit`` takes it as it
     stands), and never worse than that start. A zero input is rejected.
     """
-    start = tt_round(m, TruncationPolicy.rank(opts.target_chi))
+    start = tt_round(m, opts.target_chi)
     if not np.any(start.cores[0]):
         raise ValueError("cannot compress the zero state")
 

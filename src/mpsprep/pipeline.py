@@ -28,10 +28,10 @@ from .mps import (
     to_mps_exact,
     unfolding_spectra,
 )
-from .linalg import TruncationPolicy, _int_field
 from .simulate import (
     ErrorDecomposition,
     PipelineResult,
+    RunConfig,
     _gate_fidelity,
     build_pipeline,
     error_decomposition,
@@ -39,7 +39,6 @@ from .simulate import (
 )
 
 __all__ = [
-    "RunConfig",
     "RunReport",
     "SweepRow",
     "SpectraSummary",
@@ -63,26 +62,6 @@ def _sig12(x) -> str:
     if isinstance(x, float):
         return f"{x:.12g}"
     return str(x)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """All knobs of one encoding run; the pipeline is fully deterministic."""
-
-    spec: DistributionSpec
-    n_qubits: int
-    support_bit: int = 3
-    degree: int = 3
-    samples_per_region: int = 64
-    compression: CompressionOptions = CompressionOptions()
-
-    def __post_init__(self):
-        for name in ("n_qubits", "support_bit", "degree", "samples_per_region"):
-            _int_field(self, name)
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be >= 1")
-        if not 0 <= self.support_bit < self.n_qubits:
-            raise ValueError("need 0 <= support_bit < n_qubits")
 
 
 @dataclass(frozen=True)
@@ -321,7 +300,7 @@ def oracle_compare(config: RunConfig) -> OptimalityReport:
     """
     exact = target_amplitudes(config.spec, config.n_qubits)
     chi = config.compression.target_chi
-    baseline = to_mps_exact(exact, TruncationPolicy.rank(chi))
+    baseline = to_mps_exact(exact, chi)
     f_optimal = fidelity(exact, baseline.normalize().to_statevector())
 
     circuit, report = encode(config)

@@ -33,11 +33,13 @@ from .functions import (
     assemble,
     target_amplitudes,
 )
+from .linalg import _int_field
 from .mps import CompressionOptions, Mps, _check_dense, compress_als, overlap
 
 __all__ = [
     "run",
     "fidelity",
+    "RunConfig",
     "PipelineResult",
     "build_pipeline",
     "ErrorDecomposition",
@@ -106,6 +108,28 @@ def _stage(name: str):
 
 
 @dataclass(frozen=True)
+class RunConfig:
+    """All knobs of one encoding run; the pipeline is fully deterministic."""
+
+    spec: DistributionSpec
+    n_qubits: int
+    support_bit: int = 3
+    degree: int = 3
+    samples_per_region: int = 64
+    compression: CompressionOptions = CompressionOptions()
+
+    def __post_init__(self):
+        for name in ("n_qubits", "support_bit", "degree", "samples_per_region"):
+            _int_field(self, name)
+        if self.n_qubits < 1:
+            raise ValueError("n_qubits must be >= 1")
+        if not 0 <= self.support_bit < self.n_qubits:
+            raise ValueError("need 0 <= support_bit < n_qubits")
+        if self.degree < 0:
+            raise ValueError(f"degree must be >= 0, got {self.degree}")
+
+
+@dataclass(frozen=True)
 class PipelineResult:
     """Everything the construction produces, one stage at a time."""
 
@@ -123,17 +147,26 @@ class PipelineResult:
 def build_pipeline(
     spec: DistributionSpec,
     n_qubits: int,
-    support_bit: int = 3,
-    degree: int = 3,
-    samples_per_region: int = 64,
-    compression: CompressionOptions = CompressionOptions(),
+    support_bit: int = RunConfig.support_bit,
+    degree: int = RunConfig.degree,
+    samples_per_region: int = RunConfig.samples_per_region,
+    compression: CompressionOptions = RunConfig.compression,
 ) -> PipelineResult:
-    """Run fit, assembly, compression, and gate extraction for one target."""
-    grid = Grid.for_spec(spec, n_qubits)
+    """Run fit, assembly, compression, and gate extraction for one target.
+
+    The arguments are the fields of :class:`RunConfig`, which checks them
+    before any stage runs.
+    """
+    cfg = RunConfig(
+        spec, n_qubits, support_bit, degree, samples_per_region, compression
+    )
+    grid = Grid.for_spec(spec, cfg.n_qubits)
 
     t0 = time.perf_counter()
     with _stage("fit"):
-        pp = fit_piecewise(spec, grid, support_bit, degree, samples_per_region)
+        pp = fit_piecewise(
+            spec, grid, cfg.support_bit, cfg.degree, cfg.samples_per_region
+        )
         assembled = assemble(pp, grid)
     t1 = time.perf_counter()
     with _stage("compress"):

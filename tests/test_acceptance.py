@@ -14,7 +14,6 @@ from mpsprep import (
     DistributionSpec,
     Grid,
     RunConfig,
-    TruncationPolicy,
     bipartite_vne,
     chi_bound,
     compress_als,
@@ -104,7 +103,7 @@ def test_criterion_03_tt_svd_roundtrip_and_bound():
             worst_rt, float(np.max(np.abs(to_mps_exact(v).to_statevector() - v)))
         )
         chi = int(rng.integers(1, 5))
-        m = to_mps_exact(v, TruncationPolicy.rank(chi))
+        m = to_mps_exact(v, chi)
         err2 = float(np.sum((m.to_statevector() - v) ** 2))
         bound = sum(float(np.sum(s[chi:] ** 2)) for s in unfolding_spectra(v))
         worst_excess = max(worst_excess, err2 - bound)

@@ -3,7 +3,6 @@ import pytest
 
 from mpsprep import (
     DistributionSpec,
-    TruncationPolicy,
     chi_bound,
     fidelity,
     fit_decay,
@@ -95,8 +94,15 @@ class TestChiBound:
         assert 0.0 <= chi_bound(50.0, 2, 400) <= 1.0
 
     def test_invalid_beta(self):
-        with pytest.raises(ValueError, match="beta"):
-            chi_bound(0.0, 2, 12)
+        for bad in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="beta must be > 0"):
+                chi_bound(bad, 2, 12)
+
+    def test_non_integer_chi_rejected(self):
+        for bad in (2.5, 2.0, True, "2"):
+            with pytest.raises(ValueError, match="chi must be an integer"):
+                chi_bound(1.0, bad, 12)
+        assert chi_bound(1.0, np.int64(2), 12) == chi_bound(1.0, 2, 12)
 
 
 class TestBoundConsistency:
@@ -124,7 +130,7 @@ class TestBoundConsistency:
         spec = DistributionSpec(kind, mu=1.0, sigma=sigma, domain=domain)
         t = target_amplitudes(spec, 12)
         fit = fit_decay(unfolding_spectra(t))
-        m = to_mps_exact(t, TruncationPolicy.rank(2)).normalize()
+        m = to_mps_exact(t, 2).normalize()
         infidelity = 1.0 - fidelity(t, m.to_statevector())
         assert infidelity**2 <= chi_bound(fit.beta, 2, 12) * 1.5
 

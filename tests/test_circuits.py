@@ -188,6 +188,19 @@ class TestValidateCircuit:
         assert report.ok
         assert report.staircase
 
+    def test_invalid_tol_rejected(self):
+        doubled = Circuit(n_qubits=1, gates=(Gate((0,), 2.0 * np.eye(2)),))
+        assert not validate_circuit(doubled).ok
+        for bad, match in [
+            (float("nan"), "tol must be >= 0, got nan"),
+            (-1e-10, "tol must be >= 0"),
+            ("1e-10", "tol must be a real number"),
+            (True, "tol must be a real number"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                validate_circuit(doubled, tol=bad)
+        assert validate_circuit(doubled, tol=np.float32(4.0)).ok
+
     def test_flags_gate_past_layout(self, rng):
         circ = extract_circuit(random_mps(3, 2, rng).normalize())
         extra = Circuit(n_qubits=3, gates=circ.gates + (circ.gates[-1],))

@@ -107,6 +107,31 @@ class TestPdf:
                 kind, domain=(0.5, 2.0), pdf_fn=np.ones_like, **{field: value}
             )
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("mu", True, "mu must be a real number, got True"),
+            ("sigma", True, "sigma must be a real number, got True"),
+            ("mu", "1", "mu must be a real number, got '1'"),
+            ("sigma", "1", "sigma must be a real number, got '1'"),
+            ("domain", ("0", 2), "domain bound must be a real number, got '0'"),
+            ("domain", (0, True), "domain bound must be a real number, got True"),
+            ("domain", (0, 1, 2), r"domain must be a pair \(a, b\), got \(0, 1, 2\)"),
+            ("domain", 2.0, r"domain must be a pair \(a, b\), got 2.0"),
+        ],
+    )
+    def test_field_types_rejected(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            DistributionSpec("gaussian", **{field: value})
+
+    def test_fields_stored_as_floats(self):
+        spec = DistributionSpec(
+            "gaussian", mu=np.int64(1), sigma=np.float32(0.5), domain=[0, np.int32(2)]
+        )
+        assert spec == DistributionSpec("gaussian", 1.0, 0.5, (0.0, 2.0))
+        values = (spec.mu, spec.sigma) + spec.domain
+        assert type(spec.domain) is tuple and {type(x) for x in values} == {float}
+
     def test_lognormal_zero_bound_resolution(self):
         spec = DistributionSpec("lognormal", mu=1.0, sigma=0.5, domain=(0.0, 5.0))
         assert spec.domain == (0.125, 5.0)  # pinned at construction

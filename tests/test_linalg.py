@@ -5,7 +5,6 @@ import scipy.linalg
 
 from mpsprep import (
     SvdConvergenceError,
-    TruncationPolicy,
     null_space_completion,
     qr_orthonormalize,
     svd,
@@ -117,18 +116,18 @@ class TestSvd:
 
 class TestTruncatedSvd:
     def test_identity_rank1(self):
-        res = truncated_svd(np.eye(2), TruncationPolicy.rank(1))
+        res = truncated_svd(np.eye(2), 1)
         assert np.allclose(res.s, [1.0])
         assert res.truncation_error == pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal(self):
-        res = truncated_svd(np.diag([3.0, 2.0, 1.0]), TruncationPolicy.rank(2))
+        res = truncated_svd(np.diag([3.0, 2.0, 1.0]), 2)
         assert np.allclose(res.s, [3.0, 2.0])
         assert res.truncation_error == pytest.approx(1.0, abs=1e-12)
 
     def test_eckart_young_oracle(self, rng):
         a = rng.standard_normal((16, 16))
-        res = truncated_svd(a, TruncationPolicy.rank(4))
+        res = truncated_svd(a, 4)
         # independent oracle: distance to the best rank-4 approximation
         full = svd(a)
         best = (full.u[:, :4] * full.s[:4]) @ full.vt[:4, :]
@@ -140,39 +139,32 @@ class TestTruncatedSvd:
         a = rng.standard_normal((10, 14))
         full = svd(a)
         for k in range(1, 11):
-            res = truncated_svd(a, TruncationPolicy.rank(k))
+            res = truncated_svd(a, k)
             expected = np.sqrt(np.sum(full.s[k:] ** 2))
             assert abs(res.truncation_error - expected) <= 1e-10
 
-    def test_threshold_policy(self):
-        res = truncated_svd(np.diag([3.0, 2.0, 1.0]), TruncationPolicy(threshold=1.5))
-        assert np.allclose(res.s, [3.0, 2.0])
+    def test_rank_floor_cuts_round_off(self):
+        res = truncated_svd(np.diag([1.0, 1e-14]))
+        assert res.rank == 1
+        assert res.truncation_error == 1e-14
 
-    def test_combined_policy(self):
-        res = truncated_svd(
-            np.diag([3.0, 2.0, 1.0]), TruncationPolicy(max_rank=1, threshold=1.5)
-        )
-        assert np.allclose(res.s, [3.0])
+    def test_rank_floor_is_relative(self):
+        a = np.diag([1.0, 1e-12, 1e-14])
+        for scale in (1e-6, 1.0, 1e6):
+            assert truncated_svd(scale * a).rank == 2
 
-    def test_zero_retention_errors(self):
-        with pytest.raises(ValueError, match="retains no singular values"):
-            truncated_svd(np.eye(3), TruncationPolicy(threshold=10.0))
+    def test_zero_matrix_keeps_one_null_triplet(self):
+        res = truncated_svd(np.zeros((3, 2)), 2)
+        assert res.rank == 1 and res.s[0] == 0.0 and res.truncation_error == 0.0
 
-    def test_invalid_policy(self):
-        with pytest.raises(ValueError):
-            TruncationPolicy(max_rank=0)
+    def test_invalid_max_rank(self):
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="max_rank must be >= 1"):
+                truncated_svd(np.eye(3), bad)
         for bad in (2.5, 2.0, True, "2"):
             with pytest.raises(ValueError, match="max_rank must be an integer"):
-                TruncationPolicy(max_rank=bad)
-        policy = TruncationPolicy(max_rank=np.int64(2))
-        assert type(policy.max_rank) is int and policy == TruncationPolicy.rank(2)
-        for bad in (float("nan"), "1", True, -1.0):
-            with pytest.raises(ValueError, match="threshold must be"):
-                TruncationPolicy(threshold=bad)
-        policy = TruncationPolicy(threshold=np.float32(0.5))
-        assert type(policy.threshold) is float
-        assert policy == TruncationPolicy(threshold=0.5)
-        assert TruncationPolicy(threshold=None).threshold is None
+                truncated_svd(np.eye(3), bad)
+        assert truncated_svd(np.eye(3), np.int64(2)).rank == 2
 
 
 class TestQr:

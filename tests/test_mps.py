@@ -5,7 +5,6 @@ from mpsprep import (
     CompressionOptions,
     Grid,
     Mps,
-    TruncationPolicy,
     add,
     bipartite_vne,
     compress_als,
@@ -132,7 +131,7 @@ class TestToMpsExact:
     def test_gaussian_chi2_fidelity(self):
         spec = DistributionSpec("gaussian", mu=1.0, sigma=1.0, domain=(0.0, 2.0))
         t = target_amplitudes(spec, 10)
-        m = to_mps_exact(t, TruncationPolicy.rank(2)).normalize()
+        m = to_mps_exact(t, 2).normalize()
         fid = abs(np.dot(m.to_statevector(), t))
         assert fid >= 0.999
 
@@ -160,7 +159,7 @@ class TestToMpsExact:
         # the input's own unfolding matrices
         v = rng.standard_normal(2**9)
         chi = 3
-        m = to_mps_exact(v, TruncationPolicy.rank(chi))
+        m = to_mps_exact(v, chi)
         err2 = np.sum((m.to_statevector() - v) ** 2)
         bound = sum(np.sum(s[chi:] ** 2) for s in unfolding_spectra(v))
         assert err2 <= bound + 1e-10
@@ -175,6 +174,13 @@ class TestToMpsExact:
         assert m.bond_dims[1:-1] == tuple(ranks)
         assert m.bond_dims[6] == 5
         assert np.max(np.abs(m.to_statevector() - t)) <= 1e-12
+
+    def test_invalid_max_rank(self, rng):
+        v = rng.standard_normal(16)
+        for bad in (0, 2.5, True, "2"):
+            with pytest.raises(ValueError, match="max_rank"):
+                to_mps_exact(v, bad)
+        assert to_mps_exact(v, np.int64(2)).max_bond == 2
 
 
 class TestAdd:
@@ -267,7 +273,7 @@ class TestCanonicalize:
 class TestTtRound:
     def test_no_truncation_is_identity(self, rng):
         m = random_mps(6, 2, rng)
-        r = tt_round(m, TruncationPolicy.rank(4))
+        r = tt_round(m, 4)
         scale = np.max(np.abs(m.to_statevector()))
         assert np.max(np.abs(r.to_statevector() - m.to_statevector())) <= 1e-10 * scale
 
@@ -275,21 +281,21 @@ class TestTtRound:
         m = random_mps(6, 2, rng)
         doubled = add(m, m)
         assert doubled.max_bond == 4
-        r = tt_round(doubled, TruncationPolicy.rank(2))
+        r = tt_round(doubled, 2)
         a = r.to_statevector() / np.linalg.norm(r.to_statevector())
         b = doubled.to_statevector() / np.linalg.norm(doubled.to_statevector())
         assert abs(np.dot(a, b)) >= 1.0 - 1e-10
 
     def test_max_bond_respected(self, rng):
         m = random_mps(8, 6, rng)
-        assert tt_round(m, TruncationPolicy.rank(3)).max_bond <= 3
+        assert tt_round(m, 3).max_bond <= 3
 
     def test_result_right_canonical(self, rng):
         # The input is taken in any gauge; the result needs no further pass.
         doubled = add(random_mps(6, 2, rng), random_mps(6, 2, rng))
         for m in (random_mps(8, 6, rng), doubled, doubled.canonicalize("right")):
             for chi in (1, 2, 8):
-                r = tt_round(m, TruncationPolicy.rank(chi))
+                r = tt_round(m, chi)
                 assert right_isometry_deviation(r) <= 1e-12
 
     def test_piecewise_sum_matches_dense_oracle(self):
@@ -297,12 +303,19 @@ class TestTtRound:
         grid = Grid(10, 0.0, 2.0)
         big = assemble(fit_piecewise(spec, grid, 3, 3), grid)
         assert big.max_bond == 4
-        rounded = tt_round(big, TruncationPolicy.rank(2)).normalize()
+        rounded = tt_round(big, 2).normalize()
         dense = big.to_statevector()
-        oracle = to_mps_exact(dense, TruncationPolicy.rank(2)).normalize()
+        oracle = to_mps_exact(dense, 2).normalize()
         f_round = abs(np.dot(rounded.to_statevector(), dense / np.linalg.norm(dense)))
         f_oracle = abs(np.dot(oracle.to_statevector(), dense / np.linalg.norm(dense)))
         assert f_round == pytest.approx(f_oracle, abs=1e-6)
+
+    def test_invalid_max_rank(self, rng):
+        m = random_mps(5, 3, rng)
+        for bad in (0, 2.5, True, "2"):
+            with pytest.raises(ValueError, match="max_rank"):
+                tt_round(m, bad)
+        assert tt_round(m, np.int64(2)).max_bond == 2
 
 
 class TestCompressAls:
@@ -323,7 +336,7 @@ class TestCompressAls:
     def test_no_worse_than_rounding_init(self, rng):
         m = random_mps(8, 8, rng)
         target = m.normalize()
-        init = tt_round(m, TruncationPolicy.rank(2)).normalize()
+        init = tt_round(m, 2).normalize()
         f_init = abs(overlap(init, target))
         c = compress_als(m, CompressionOptions(target_chi=2))
         assert abs(overlap(c, target)) >= f_init - 1e-12
@@ -466,7 +479,7 @@ class TestSweepZeroStoppingRule:
     def test_unconverged_start_sweeps_on(self, rng):
         m = random_mps(8, 8, rng)
         opts = CompressionOptions(target_chi=2)
-        start = tt_round(m, TruncationPolicy.rank(2))
+        start = tt_round(m, 2)
         f_start = abs(overlap(start, m)) / start.norm()
         one = compress_als(m, CompressionOptions(target_chi=2, max_sweeps=1))
         f_one = abs(overlap(one, m))
@@ -493,7 +506,6 @@ def _reference_compress_als(m, opts):
     # leaves the start right-canonical) and separate left and right
     # environment arrays.
     n = m.n_sites
-    policy = TruncationPolicy.rank(opts.target_chi)
     work = list(m.cores)
     for i in range(n - 1):
         al, _, ar = work[i].shape
@@ -502,7 +514,7 @@ def _reference_compress_als(m, opts):
         work[i + 1] = np.tensordot(r, work[i + 1], axes=([1], [0]))
     for i in range(n - 1, 0, -1):
         al, _, ar = work[i].shape
-        res = truncated_svd(work[i].reshape(al, 2 * ar), policy)
+        res = truncated_svd(work[i].reshape(al, 2 * ar), opts.target_chi)
         work[i] = res.vt.reshape(res.rank, 2, ar)
         carry = res.u * res.s
         work[i - 1] = np.tensordot(work[i - 1], carry, axes=([2], [0]))
@@ -668,5 +680,5 @@ class TestImmutability:
         before = m.to_statevector()
         m.canonicalize("left")
         m.normalize()
-        tt_round(m, TruncationPolicy.rank(1))
+        tt_round(m, 1)
         assert np.array_equal(m.to_statevector(), before)

@@ -118,6 +118,31 @@ class TestEncode:
         assert {type(cfg.n_qubits), type(cfg.support_bit), type(cfg.degree)} == {int}
         json.dumps(encode(cfg)[1].to_dict())  # the echo stays JSON
 
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError, match="degree must be >= 0, got -1"):
+            gaussian_config(degree=-1)
+
+    def test_build_pipeline_checks_run_config_fields(self):
+        spec = gaussian_config().spec
+        cases = [
+            ((spec, 6, True), "support_bit must be an integer, got True"),
+            ((spec, 6, 2.0), "support_bit must be an integer, got 2.0"),
+            ((spec, 6.0), "n_qubits must be an integer, got 6.0"),
+            ((spec, 6, 3, -1), "degree must be >= 0, got -1"),
+            ((spec, 6, 3, 3, 2.5), "samples_per_region must be an integer"),
+        ]
+        for args, match in cases:
+            with pytest.raises(ValueError, match=f"^{match}"):
+                build_pipeline(*args)
+        result = build_pipeline(spec, np.int64(6), np.int32(2), np.int64(3))
+        assert result.piecewise.support_bit == 2 and result.grid.n_qubits == 6
+
+    def test_spectra_rejects_non_integer_chi(self):
+        spec = gaussian_config().spec
+        for bad in (2.5, True, "2"):
+            with pytest.raises(ValueError, match="chi must be an integer"):
+                spectra(spec, 6, [1.0], chi=bad)
+
     def test_dense_only_commands_refuse_big_registers(self, monkeypatch):
         monkeypatch.setenv("MPSPREP_DENSE_LIMIT", "6")
         spec = DistributionSpec("gaussian", mu=1.0, sigma=1.0, domain=(0.0, 2.0))
