@@ -11,14 +11,11 @@ from .linalg import (
     SvdConvergenceError,
     SvdResult,
     null_space_completion,
-    qr_orthonormalize,
-    svd,
     truncated_svd,
 )
 from .mps import (
     CompressionOptions,
     Mps,
-    add,
     bipartite_vne,
     compress_als,
     dense_qubit_limit,
@@ -31,13 +28,11 @@ from .functions import (
     DistributionSpec,
     Grid,
     PiecewisePoly,
-    Region,
     assemble,
     fit_piecewise,
     pdf,
     pdf_derivative,
     poly_mps,
-    subdivide,
     target_amplitudes,
 )
 from .circuits import (
@@ -62,7 +57,6 @@ from .analysis import (
     chi_bound,
     fit_decay,
     max_derivative,
-    optimality_ratio,
 )
 from .pipeline import (
     CSV_COLUMNS,

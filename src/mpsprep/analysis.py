@@ -23,7 +23,6 @@ __all__ = [
     "DecayFit",
     "fit_decay",
     "chi_bound",
-    "optimality_ratio",
     "max_derivative",
 ]
 
@@ -95,6 +94,12 @@ def _log_sinh(x: float) -> float:
     return x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0)
 
 
+def _check_chi(chi, n: int) -> None:
+    """The rule for :func:`chi_bound`'s rank and chain length."""
+    if _as_int(chi, "chi") < 0 or n < 1:
+        raise ValueError("need chi >= 0 and n >= 1")
+
+
 def chi_bound(beta: float, chi: int, n: int) -> float:
     """Normalized squared-error bound for a rank-chi truncation.
 
@@ -109,21 +114,13 @@ def chi_bound(beta: float, chi: int, n: int) -> float:
     """
     if not beta > 0:  # NaN fails too
         raise ValueError(f"beta must be > 0, got {beta}")
-    if _as_int(chi, "chi") < 0 or n < 1:
-        raise ValueError("need chi >= 0 and n >= 1")
+    _check_chi(chi, n)
     if chi >= n:
         return 0.0
     if chi == 0:
         return 1.0
     log_bound = -beta * chi + _log_sinh(beta * (n - chi)) - _log_sinh(beta * n)
     return math.exp(log_bound)
-
-
-def optimality_ratio(circuit_fidelity: float, optimal_fidelity: float) -> float:
-    """Circuit fidelity relative to the best rank-2 truncation's fidelity."""
-    if optimal_fidelity <= 0.0:
-        raise ValueError("optimal fidelity must be positive")
-    return circuit_fidelity / optimal_fidelity
 
 
 def max_derivative(spec: DistributionSpec, n_qubits: int) -> float:

@@ -31,12 +31,10 @@ from .mps import Mps, _check_dense
 __all__ = [
     "DistributionSpec",
     "Grid",
-    "Region",
     "PiecewisePoly",
     "pdf",
     "pdf_derivative",
     "target_amplitudes",
-    "subdivide",
     "fit_piecewise",
     "poly_mps",
     "assemble",
@@ -136,12 +134,6 @@ class Grid:
     def spacing(self) -> float:
         return self.width / self.n_intervals
 
-    def point(self, k: int) -> float:
-        """Coordinate of grid index k: a + k * width / (2^N - 1)."""
-        if not 0 <= k < self.size:
-            raise ValueError(f"index {k} outside [0, {self.size})")
-        return self.a + k * self.width / self.n_intervals
-
     def points(self) -> np.ndarray:
         return np.linspace(self.a, self.b, self.size)
 
@@ -219,34 +211,11 @@ def target_amplitudes(spec: DistributionSpec, n_qubits: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Region:
-    """One of the 2^k bit-prefix regions: grid indices [start, stop)."""
-
-    index: int
-    start: int
-    stop: int
-    x_start: float
-
-
 def _block(n_qubits: int, support_bit: int) -> int:
     """Grid points per region, 2^(N-k), for a valid support bit k."""
     if not 0 <= support_bit < n_qubits:
         raise ValueError(f"support_bit must be in [0, {n_qubits}), got {support_bit}")
     return 2 ** (n_qubits - support_bit)
-
-
-def subdivide(grid: Grid, support_bit: int) -> list[Region]:
-    """Split the grid into 2^k contiguous regions keyed by the top k bits.
-
-    Region j covers grid indices [j * 2^(N-k), (j+1) * 2^(N-k)); the
-    membership of an index is exactly its k-bit big-endian prefix.
-    """
-    block = _block(grid.n_qubits, support_bit)
-    return [
-        Region(j, j * block, (j + 1) * block, grid.point(j * block))
-        for j in range(2**support_bit)
-    ]
 
 
 @dataclass(frozen=True)
@@ -307,8 +276,11 @@ def fit_piecewise(
             f"need at least degree+1={degree + 1} samples per region, "
             f"got {samples_per_region}"
         )
-    starts = np.array([r.x_start for r in subdivide(grid, support_bit)])
-    span = (_block(grid.n_qubits, support_bit) - 1) * grid.spacing
+    block = _block(grid.n_qubits, support_bit)
+    # Region starts in Python scalars: an int64 grid index overflows from N = 64.
+    firsts = range(0, grid.size, block)
+    starts = np.array([grid.a + i * grid.width / grid.n_intervals for i in firsts])
+    span = (block - 1) * grid.spacing
     us = np.linspace(0.0, 1.0, samples_per_region)
     ys = _sqrt_density(spec, starts[:, None] + us * span)
     peak = ys.max()

@@ -1,11 +1,12 @@
 """Dense real linear algebra with fixed sign conventions.
 
-Everything here operates on plain float64 ``numpy`` arrays. Decompositions
-are deterministic: left singular vectors have a positive first nonzero
-entry, QR factors carry a non-negative R diagonal, and kernel completion
-runs Gram-Schmidt against the canonical basis in index order. These
-conventions make every downstream artifact (cores, gates, serialized
-circuits) reproducible bit for bit.
+Everything here operates on plain float64 ``numpy`` arrays. The pipeline
+uses three deterministic factorizations: :func:`truncated_svd`, whose left
+singular vectors have a positive first nonzero entry; the reduced QR of
+the MPS sweeps, whose R diagonal is non-negative; and
+:func:`null_space_completion`, Gram-Schmidt against the canonical basis
+in index order. These conventions make every downstream artifact (cores,
+gates, serialized circuits) reproducible bit for bit.
 
 The rank rule lives in :func:`truncated_svd` alone: a cut keeps its
 numerical rank, the values strictly above ``RANK_FLOOR`` of its largest,
@@ -22,9 +23,7 @@ import numpy as np
 __all__ = [
     "SvdConvergenceError",
     "SvdResult",
-    "svd",
     "truncated_svd",
-    "qr_orthonormalize",
     "null_space_completion",
 ]
 
@@ -86,13 +85,6 @@ class SvdResult:
     vt: np.ndarray
     truncation_error: float
 
-    @property
-    def rank(self) -> int:
-        return len(self.s)
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.s) @ self.vt
-
 
 def _as_matrix(a, stack: bool = False) -> np.ndarray:
     # Contiguous copy-in: identical values give identical results
@@ -131,11 +123,10 @@ def _raw_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise SvdConvergenceError(m.shape[0], m.shape[1]) from exc
 
 
-def svd(a) -> SvdResult:
-    """Full (thin) SVD with deterministic signs and zero truncation error."""
-    u, s, vt = _raw_svd(_as_matrix(a))
-    u, vt = _fix_svd_signs(u, vt)
-    return SvdResult(u=u, s=s, vt=vt, truncation_error=0.0)
+def _check_max_rank(max_rank) -> None:
+    """A rank cap is None (no cap) or an integer >= 1."""
+    if max_rank is not None and _as_int(max_rank, "max_rank") < 1:
+        raise ValueError(f"max_rank must be >= 1, got {max_rank}")
 
 
 def truncated_svd(a, max_rank: int | None = None) -> SvdResult:
@@ -149,8 +140,7 @@ def truncated_svd(a, max_rank: int | None = None) -> SvdResult:
     approximation of the kept rank, sqrt(sum of squared discarded values),
     counting the values below the floor too.
     """
-    if max_rank is not None and _as_int(max_rank, "max_rank") < 1:
-        raise ValueError(f"max_rank must be >= 1, got {max_rank}")
+    _check_max_rank(max_rank)
     u, s, vt = _raw_svd(_as_matrix(a))
     u, vt = _fix_svd_signs(u, vt)
     keep = max(1, int(np.count_nonzero(s > RANK_FLOOR * s[0])))
@@ -164,17 +154,6 @@ def _qr_signed(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     q, r = np.linalg.qr(m, mode="reduced")
     sign = np.where(np.diagonal(r) < 0, -1.0, 1.0)  # exact: flips signs only
     return q * sign, r * sign[:, None]
-
-
-def qr_orthonormalize(a) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced QR of a tall matrix, with the R diagonal made non-negative.
-
-    Rank-deficient input is allowed; zero diagonal entries simply stay zero.
-    """
-    m = _as_matrix(a)
-    if m.shape[0] < m.shape[1]:
-        raise ValueError(f"need rows >= cols, got shape {m.shape}")
-    return _qr_signed(m)
 
 
 def null_space_completion(rows) -> np.ndarray:

@@ -7,7 +7,7 @@ so a bitstring ``s_0 ... s_{N-1}`` addresses dense index
 ``sum(s_i * 2^(N-1-i))``.
 
 Provided here: exact construction from dense vectors by successive SVDs,
-evaluation, addition, inner products, canonical forms, rank reduction by
+evaluation, inner products, canonical forms, rank reduction by
 truncated-SVD sweeps (each bond cut to its numerical rank, optionally
 capped at ``max_rank``, by :func:`~mpsprep.linalg.truncated_svd`), and
 variational fixed-rank compression by alternating single-site overlap
@@ -30,14 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _int_field, _qr_signed, _real_field, truncated_svd
+from .linalg import _check_max_rank, _int_field, _qr_signed, _real_field, truncated_svd
 
 __all__ = [
     "Mps",
     "CompressionOptions",
     "dense_qubit_limit",
     "to_mps_exact",
-    "add",
     "overlap",
     "tt_round",
     "compress_als",
@@ -219,6 +218,7 @@ def to_mps_exact(v, max_rank: int | None = None) -> Mps:
     the sum of all squared omitted singular values across the sweep. The
     result is left-canonical.
     """
+    _check_max_rank(max_rank)
     vec, n = _dense_vector(v)
     if not np.any(vec):
         raise ValueError("cannot factor the zero vector")
@@ -238,24 +238,6 @@ def _svd_step(mat: np.ndarray, max_rank: int | None):
     return res.u, res.s[:, None] * res.vt
 
 
-def add(a: Mps, b: Mps) -> Mps:
-    """Sum of two MPS; amplitudes add exactly, interior bonds concatenate."""
-    if a.n_sites != b.n_sites:
-        raise ValueError(f"site count mismatch: {a.n_sites} vs {b.n_sites}")
-    cores = []
-    for ca, cb in zip(a.cores, b.cores):
-        la, _, ra = ca.shape
-        lb, _, rb = cb.shape
-        core = np.zeros((la + lb, 2, ra + rb))
-        core[:la, :, :ra] = ca
-        core[la:, :, ra:] = cb
-        cores.append(core)
-    # Close the outer bonds; each entry adds an exact 0.0 to the other block.
-    cores[0] = cores[0].sum(axis=0, keepdims=True)
-    cores[-1] = cores[-1].sum(axis=2, keepdims=True)
-    return Mps(cores)
-
-
 def overlap(a: Mps, b: Mps) -> float:
     """Inner product <a|b> by left-to-right pairwise core contraction."""
     if a.n_sites != b.n_sites:
@@ -273,6 +255,7 @@ def tt_round(m: Mps, max_rank: int | None = None) -> Mps:
     A left-canonicalizing QR pass makes each truncation of the right-to-left
     SVD sweep optimal for the whole state; the result is right-canonical.
     """
+    _check_max_rank(max_rank)
     cores = _mirror(_left_sweep(list(m.cores), _qr_signed))
     return Mps(_mirror(_left_sweep(cores, lambda mat: _svd_step(mat, max_rank))))
 

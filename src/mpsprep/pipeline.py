@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import DecayFit, chi_bound, fit_decay, max_derivative, optimality_ratio
+from .analysis import DecayFit, _check_chi, chi_bound, fit_decay, max_derivative
 from .circuits import Circuit, Gate
 from .functions import DistributionSpec, target_amplitudes
 from .mps import (
@@ -260,6 +260,7 @@ def spectra(
     chi: int = CompressionOptions.target_chi,
 ) -> list[SpectraSummary]:
     """Unfolding spectra and decay fits across a sigma sweep."""
+    _check_chi(chi, n_qubits)
     _check_dense(n_qubits, "spectra")
     out = []
     for sigma in sigmas:
@@ -305,7 +306,7 @@ def oracle_compare(config: RunConfig) -> OptimalityReport:
 
     circuit, report = encode(config)
     f_circuit = report.fidelity
-    ratio = optimality_ratio(f_circuit, f_optimal)
+    ratio = f_circuit / f_optimal
     return OptimalityReport(
         f_circuit=f_circuit,
         f_optimal=f_optimal,

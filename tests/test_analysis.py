@@ -7,7 +7,6 @@ from mpsprep import (
     fidelity,
     fit_decay,
     max_derivative,
-    optimality_ratio,
     target_amplitudes,
     to_mps_exact,
     unfolding_spectra,
@@ -104,6 +103,11 @@ class TestChiBound:
                 chi_bound(1.0, bad, 12)
         assert chi_bound(1.0, np.int64(2), 12) == chi_bound(1.0, 2, 12)
 
+    def test_negative_chi_or_empty_chain_rejected(self):
+        for chi, n in ((-1, 12), (2, 0)):
+            with pytest.raises(ValueError, match="need chi >= 0 and n >= 1"):
+                chi_bound(1.0, chi, n)
+
 
 class TestBoundConsistency:
     CASES = [
@@ -133,18 +137,6 @@ class TestBoundConsistency:
         m = to_mps_exact(t, 2).normalize()
         infidelity = 1.0 - fidelity(t, m.to_statevector())
         assert infidelity**2 <= chi_bound(fit.beta, 2, 12) * 1.5
-
-
-class TestOptimalityRatio:
-    def test_equal(self):
-        assert optimality_ratio(0.5, 0.5) == 1.0
-
-    def test_arithmetic(self):
-        assert optimality_ratio(0.99, 0.995) == pytest.approx(0.994974874, abs=1e-9)
-
-    def test_zero_denominator(self):
-        with pytest.raises(ValueError, match="positive"):
-            optimality_ratio(0.9, 0.0)
 
 
 class TestMaxDerivative:

@@ -13,29 +13,37 @@ from mpsprep import (
     fit_piecewise,
     pdf,
     poly_mps,
-    subdivide,
     target_amplitudes,
 )
 
 
 class TestGrid:
     def test_endpoints(self):
-        g = Grid(2, 0.0, 3.0)
-        assert g.point(0) == 0.0
-        assert g.point(3) == 3.0
+        pts = Grid(2, 0.0, 3.0).points()
+        assert pts[0] == 0.0
+        assert pts[3] == 3.0
 
     def test_interior_point(self):
-        assert Grid(3, 0.0, 1.0).point(4) == pytest.approx(4 / 7, abs=1e-15)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError, match="outside"):
-            Grid(2, 0.0, 1.0).point(4)
+        assert Grid(3, 0.0, 1.0).points()[4] == pytest.approx(4 / 7, abs=1e-15)
 
     def test_points_match_formula(self):
         g = Grid(5, -1.0, 2.0)
         pts = g.points()
         for k in (0, 7, 31):
-            assert pts[k] == pytest.approx(g.point(k), abs=1e-15)
+            assert pts[k] == pytest.approx(-1.0 + k * 3.0 / 31, abs=1e-15)
+
+    def test_points_count_and_order(self):
+        for n in (1, 3, 7):
+            g = Grid(n, -1.0, 2.0)
+            pts = g.points()
+            assert len(pts) == g.size == 2**n
+            assert np.all(np.diff(pts) > 0)
+
+    def test_register_and_domain_validation(self):
+        with pytest.raises(ValueError, match="n_qubits must be >= 1"):
+            Grid(0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="need a < b"):
+            Grid(3, 1.0, 1.0)
 
     def test_spacing_floor(self):
         # on [0, 2] the spacing 2 / (2^N - 1) drops below the smallest
@@ -218,42 +226,6 @@ class TestTargetAmplitudes:
             target_amplitudes(spec, 10)
 
 
-class TestSubdivide:
-    def test_halving(self):
-        regions = subdivide(Grid(3, 0.0, 1.0), 1)
-        assert [(r.start, r.stop) for r in regions] == [(0, 4), (4, 8)]
-
-    def test_four_quarters(self):
-        regions = subdivide(Grid(4, 0.0, 1.0), 2)
-        assert len(regions) == 4
-        assert all(r.stop - r.start == 4 for r in regions)
-
-    def test_k_zero_single_region(self):
-        regions = subdivide(Grid(3, 0.0, 1.0), 0)
-        assert len(regions) == 1
-        assert (regions[0].start, regions[0].stop) == (0, 8)
-
-    @given(
-        n=st.integers(min_value=1, max_value=10),
-        k=st.integers(min_value=0, max_value=9),
-        data=st.data(),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_membership_is_bit_prefix(self, n, k, data):
-        if k >= n:
-            k = n - 1
-        grid = Grid(n, 0.0, 1.0)
-        idx = data.draw(st.integers(min_value=0, max_value=2**n - 1))
-        regions = subdivide(grid, k)
-        containing = [r for r in regions if r.start <= idx < r.stop]
-        assert len(containing) == 1
-        assert containing[0].index == (idx >> (n - k) if k else 0)
-
-    def test_k_too_large(self):
-        with pytest.raises(ValueError, match="support_bit"):
-            subdivide(Grid(3, 0.0, 1.0), 3)
-
-
 class TestFitPiecewise:
     def test_exactly_linear_amplitude(self):
         spec = DistributionSpec(
@@ -264,8 +236,36 @@ class TestFitPiecewise:
         # region coordinate u = (x - x_start) / span, samples divided by the
         # largest one, sqrt(pdf(2)) = 3: sqrt(pdf) / 3 = (x_start + 1 + span * u) / 3
         span = 15 * grid.spacing
-        for region, coeffs in zip(subdivide(grid, 2), pp.regions):
-            assert coeffs[0] == pytest.approx((region.x_start + 1.0) / 3, abs=1e-10)
+        for x_start, coeffs in zip(grid.points()[::16], pp.regions):
+            assert coeffs[0] == pytest.approx((x_start + 1.0) / 3, abs=1e-10)
+            assert coeffs[1] == pytest.approx(span / 3, abs=1e-10)
+
+    def test_region_count(self):
+        spec = DistributionSpec("gaussian", mu=1.0, sigma=0.5, domain=(0.0, 2.0))
+        grid = Grid(5, 0.0, 2.0)
+        for k in range(5):
+            assert len(fit_piecewise(spec, grid, k, 2).regions) == 2**k
+
+    def test_k_zero_single_region(self):
+        # one region spanning [0, 2]: sqrt(pdf) / 3 = (1 + 2u) / 3
+        spec = DistributionSpec(
+            "custom", domain=(0.0, 2.0), pdf_fn=lambda x: (np.asarray(x) + 1.0) ** 2
+        )
+        pp = fit_piecewise(spec, Grid(6, 0.0, 2.0), 0, 1)
+        assert len(pp.regions) == 1
+        assert pp.regions[0] == pytest.approx((1 / 3, 2 / 3), abs=1e-10)
+
+    def test_region_starts_past_int64_indices(self):
+        # at N = 64 the third region starts at grid index 2^63, past int64
+        spec = DistributionSpec(
+            "custom", domain=(0.0, 2.0), pdf_fn=lambda x: (np.asarray(x) + 1.0) ** 2
+        )
+        grid = Grid(64, 0.0, 2.0)
+        pp = fit_piecewise(spec, grid, 2, 1)
+        span = (2**62 - 1) * grid.spacing
+        for j, coeffs in enumerate(pp.regions):
+            x_start = j * 2**62 * 2.0 / (2**64 - 1)
+            assert coeffs[0] == pytest.approx((x_start + 1.0) / 3, abs=1e-10)
             assert coeffs[1] == pytest.approx(span / 3, abs=1e-10)
 
     def test_gaussian_pointwise_residual(self):
@@ -294,6 +294,11 @@ class TestFitPiecewise:
         spec = DistributionSpec("gaussian", domain=(0.0, 2.0))
         with pytest.raises(ValueError, match="samples"):
             fit_piecewise(spec, Grid(5, 0.0, 2.0), 1, 3, samples_per_region=3)
+
+    def test_support_bit_too_large(self):
+        spec = DistributionSpec("gaussian", domain=(0.0, 2.0))
+        with pytest.raises(ValueError, match="support_bit"):
+            fit_piecewise(spec, Grid(3, 0.0, 2.0), 3, 1)
 
 
 class TestPolyMps:
@@ -357,15 +362,39 @@ class TestMaskRegion:
         coeffs = rng.uniform(-1, 1, size=4)
         want = poly_mps(coeffs, g).to_statevector()
         for k in (1, 2, 3):
-            span = (2 ** (6 - k) - 1) * g.spacing
+            block = 2 ** (6 - k)
+            span = (block - 1) * g.spacing
             regions = tuple(
                 tuple(np.polynomial.Polynomial(coeffs)(
-                    np.polynomial.Polynomial([r.x_start, span])).coef)
-                for r in subdivide(g, k)
+                    np.polynomial.Polynomial([x_start, span])).coef)
+                for x_start in g.points()[::block]
             )
             pp = PiecewisePoly(support_bit=k, degree=3, regions=regions)
             assert np.max(np.abs(pp.values(g) - want)) <= 1e-12
             assert np.max(np.abs(assemble(pp, g).to_statevector() - want)) <= 1e-12
+
+    @given(
+        n=st.integers(min_value=1, max_value=10),
+        k=st.integers(min_value=0, max_value=9),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_membership_is_bit_prefix(self, n, k, data):
+        # region j holds the constant j: every index reads its k-bit prefix
+        k = min(k, n - 1)
+        grid = Grid(n, 0.0, 1.0)
+        pp = PiecewisePoly(
+            support_bit=k, degree=0, regions=tuple((float(j),) for j in range(2**k))
+        )
+        idx = data.draw(st.integers(min_value=0, max_value=2**n - 1))
+        prefix = idx >> (n - k)
+        assert pp.values(grid)[idx] == prefix
+        bits = format(idx, f"0{n}b")
+        assert assemble(pp, grid).amplitude(bits) == pytest.approx(prefix, abs=1e-12)
+
+    def test_coefficient_count_checked(self):
+        with pytest.raises(ValueError, match=r"degree\+1 coefficients"):
+            PiecewisePoly(support_bit=1, degree=1, regions=((1.0, 0.0), (2.0,)))
 
     def test_region_out_of_range(self):
         with pytest.raises(ValueError, match="regions"):
@@ -390,7 +419,7 @@ class TestPiecewiseValues:
     @staticmethod
     def _polyval_values(pp, grid):
         # The numpy polyval evaluation that `values` replaced, kept as the reference.
-        block = subdivide(grid, pp.support_bit)[0].stop
+        block = 2 ** (grid.n_qubits - pp.support_bit)
         us = np.arange(block) / (block - 1)
         coeffs = np.array(pp.regions, dtype=float).T
         return np.polynomial.polynomial.polyval(us, coeffs).reshape(-1)
@@ -409,14 +438,13 @@ class TestPiecewiseValues:
         # One np.polynomial.Polynomial.fit per region in u, on the samples
         # divided by the largest one: the reference for the batched solve.
         us = np.linspace(0.0, 1.0, samples)
-        regions = subdivide(grid, k)
+        block = 2 ** (grid.n_qubits - k)
+        pts = grid.points()
         ys = [
-            np.sqrt(pdf(spec, grid.point(r.start)
-                        + us * (grid.point(r.stop - 1) - grid.point(r.start))))
-            for r in regions
+            np.sqrt(pdf(spec, start + us * (end - start)))
+            for start, end in zip(pts[::block], pts[block - 1 :: block])
         ]
         peak = max(np.max(y) for y in ys)
-        block = regions[0].stop
         grid_us = np.arange(block) / (block - 1)
         return np.concatenate(
             [np.polynomial.Polynomial.fit(us, y / peak, p)(grid_us) for y in ys]

@@ -3,13 +3,7 @@ import pytest
 
 import scipy.linalg
 
-from mpsprep import (
-    SvdConvergenceError,
-    null_space_completion,
-    qr_orthonormalize,
-    svd,
-    truncated_svd,
-)
+from mpsprep import SvdConvergenceError, null_space_completion, truncated_svd
 from mpsprep.linalg import _SIGN_EPS, _fix_svd_signs, _qr_signed
 
 
@@ -26,38 +20,43 @@ def _fix_svd_signs_loop(u, vt):
     return u, vt
 
 
-class TestSvd:
+def _reconstruct(res):
+    return (res.u * res.s) @ res.vt
+
+
+class TestTruncatedSvd:
     def test_identity(self):
-        res = svd(np.eye(2))
+        res = truncated_svd(np.eye(2))
         assert np.allclose(res.s, [1.0, 1.0])
         assert res.truncation_error == 0.0
 
     def test_rank_one_frobenius(self):
         a = np.array([[1.0, 2.0], [2.0, 4.0]])
-        res = svd(a)
-        assert np.allclose(res.s, [5.0, 0.0], atol=1e-12)
+        res = truncated_svd(a)
+        assert np.allclose(res.s, [5.0], atol=1e-12)
+        assert res.truncation_error <= 1e-12
 
     def test_reconstruction_8x6(self, rng):
         a = rng.standard_normal((8, 6))
-        res = svd(a)
-        assert np.linalg.norm(res.reconstruct() - a) <= 1e-10
+        res = truncated_svd(a)
+        assert np.linalg.norm(_reconstruct(res) - a) <= 1e-10
 
     def test_reconstruction_property(self, rng):
         for _ in range(20):
             m = int(rng.integers(1, 65))
             n = int(rng.integers(1, 65))
             a = rng.standard_normal((m, n))
-            res = svd(a)
-            assert np.linalg.norm(res.reconstruct() - a) <= 1e-9 * np.linalg.norm(a)
+            res = truncated_svd(a)
+            assert np.linalg.norm(_reconstruct(res) - a) <= 1e-9 * np.linalg.norm(a)
 
     def test_orthogonality(self, rng):
         a = rng.standard_normal((30, 12))
-        res = svd(a)
+        res = truncated_svd(a)
         assert np.max(np.abs(res.u.T @ res.u - np.eye(12))) <= 1e-10
         assert np.max(np.abs(res.vt @ res.vt.T - np.eye(12))) <= 1e-10
 
     def test_sign_convention(self, rng):
-        res = svd(rng.standard_normal((9, 9)))
+        res = truncated_svd(rng.standard_normal((9, 9)))
         for j in range(9):
             col = res.u[:, j]
             first = col[np.abs(col) > 1e-12][0]
@@ -82,13 +81,13 @@ class TestSvd:
                 assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
     def test_sorted_nonincreasing(self, rng):
-        res = svd(rng.standard_normal((12, 7)))
+        res = truncated_svd(rng.standard_normal((12, 7)))
         assert np.all(np.diff(res.s) <= 0)
         assert np.all(res.s >= 0)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="non-finite"):
-            svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
+            truncated_svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
     def test_gesvd_fallback(self, rng, monkeypatch):
         def diverge(*args, **kwargs):
@@ -96,25 +95,21 @@ class TestSvd:
 
         a = rng.standard_normal((7, 5))
         monkeypatch.setattr(np.linalg, "svd", diverge)
-        res = svd(a)
-        assert np.linalg.norm(res.reconstruct() - a) <= 1e-10
-        for j in range(res.rank):
+        res = truncated_svd(a)
+        assert np.linalg.norm(_reconstruct(res) - a) <= 1e-10
+        for j in range(len(res.s)):
             col = res.u[:, j]
             assert col[np.abs(col) > 1e-12][0] > 0
 
         monkeypatch.setattr(scipy.linalg, "svd", diverge)
         with pytest.raises(SvdConvergenceError, match="7x5"):
-            svd(a)
+            truncated_svd(a)
 
     def test_convergence_error_carries_dimensions(self):
-        from mpsprep import SvdConvergenceError
-
         err = SvdConvergenceError(12, 7)
         assert err.rows == 12 and err.cols == 7
         assert "12x7" in str(err)
 
-
-class TestTruncatedSvd:
     def test_identity_rank1(self):
         res = truncated_svd(np.eye(2), 1)
         assert np.allclose(res.s, [1.0])
@@ -129,33 +124,40 @@ class TestTruncatedSvd:
         a = rng.standard_normal((16, 16))
         res = truncated_svd(a, 4)
         # independent oracle: distance to the best rank-4 approximation
-        full = svd(a)
-        best = (full.u[:, :4] * full.s[:4]) @ full.vt[:4, :]
+        u, s, vt = np.linalg.svd(a)
+        best = (u[:, :4] * s[:4]) @ vt[:4, :]
         assert res.truncation_error == pytest.approx(
             np.linalg.norm(a - best), abs=1e-10
         )
 
     def test_eckart_young_every_rank(self, rng):
         a = rng.standard_normal((10, 14))
-        full = svd(a)
+        s = np.linalg.svd(a, compute_uv=False)
         for k in range(1, 11):
             res = truncated_svd(a, k)
-            expected = np.sqrt(np.sum(full.s[k:] ** 2))
+            expected = np.sqrt(np.sum(s[k:] ** 2))
             assert abs(res.truncation_error - expected) <= 1e-10
 
     def test_rank_floor_cuts_round_off(self):
         res = truncated_svd(np.diag([1.0, 1e-14]))
-        assert res.rank == 1
+        assert len(res.s) == 1
         assert res.truncation_error == 1e-14
 
     def test_rank_floor_is_relative(self):
         a = np.diag([1.0, 1e-12, 1e-14])
         for scale in (1e-6, 1.0, 1e6):
-            assert truncated_svd(scale * a).rank == 2
+            assert len(truncated_svd(scale * a).s) == 2
 
     def test_zero_matrix_keeps_one_null_triplet(self):
         res = truncated_svd(np.zeros((3, 2)), 2)
-        assert res.rank == 1 and res.s[0] == 0.0 and res.truncation_error == 0.0
+        assert len(res.s) == 1 and res.s[0] == 0.0 and res.truncation_error == 0.0
+
+    def test_cap_above_rank_keeps_numerical_rank(self, rng):
+        a = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 5))
+        res = truncated_svd(a, 4)
+        assert len(res.s) == 2
+        assert res.u.shape == (6, 2) and res.vt.shape == (2, 5)
+        assert np.linalg.norm(_reconstruct(res) - a) <= 1e-10 * np.linalg.norm(a)
 
     def test_invalid_max_rank(self):
         for bad in (0, -1):
@@ -164,23 +166,23 @@ class TestTruncatedSvd:
         for bad in (2.5, 2.0, True, "2"):
             with pytest.raises(ValueError, match="max_rank must be an integer"):
                 truncated_svd(np.eye(3), bad)
-        assert truncated_svd(np.eye(3), np.int64(2)).rank == 2
+        assert len(truncated_svd(np.eye(3), np.int64(2)).s) == 2
 
 
 class TestQr:
     def test_identity(self):
-        q, r = qr_orthonormalize(np.eye(3))
+        q, r = _qr_signed(np.eye(3))
         assert np.allclose(q, np.eye(3))
         assert np.allclose(r, np.eye(3))
 
     def test_single_column(self):
-        q, r = qr_orthonormalize(np.array([[3.0], [4.0]]))
+        q, r = _qr_signed(np.array([[3.0], [4.0]]))
         assert np.allclose(q, [[0.6], [0.8]])
         assert np.allclose(r, [[5.0]])
 
     def test_orthonormality_10x4(self, rng):
         a = rng.standard_normal((10, 4))
-        q, r = qr_orthonormalize(a)
+        q, r = _qr_signed(a)
         assert np.max(np.abs(q.T @ q - np.eye(4))) <= 1e-12
         assert np.max(np.abs(q @ r - a)) <= 1e-10
         assert np.all(np.diag(r) >= 0)
@@ -188,12 +190,8 @@ class TestQr:
 
     def test_rank_deficient_allowed(self):
         a = np.ones((4, 2))
-        q, r = qr_orthonormalize(a)
+        q, r = _qr_signed(a)
         assert np.max(np.abs(q @ r - a)) <= 1e-12
-
-    def test_wide_rejected(self):
-        with pytest.raises(ValueError, match="rows >= cols"):
-            qr_orthonormalize(np.ones((2, 3)))
 
     @pytest.mark.parametrize(
         "shape,rank", [((6, 3), 3), ((4, 4), 4), ((2, 5), 2), ((5, 3), 1), ((3, 5), 1)]
@@ -223,14 +221,14 @@ class TestNullSpaceCompletion:
 
     def test_stacked_orthogonal_from_mps_core(self, rng):
         # two orthonormal rows like a normalized rank-2 core unfolding
-        q, _ = qr_orthonormalize(rng.standard_normal((4, 2)))
+        q, _ = _qr_signed(rng.standard_normal((4, 2)))
         rows = q.T
         out = null_space_completion(rows)
         full = np.vstack([rows, out])
         assert np.max(np.abs(full.T @ full - np.eye(4))) <= 1e-10
 
     def test_sign_convention(self, rng):
-        q, _ = qr_orthonormalize(rng.standard_normal((5, 2)))
+        q, _ = _qr_signed(rng.standard_normal((5, 2)))
         out = null_space_completion(q.T)
         for row in out:
             first = row[np.abs(row) > 1e-12][0]
@@ -241,7 +239,7 @@ class TestNullSpaceCompletion:
             null_space_completion(np.array([[1.0, 1.0, 0.0, 0.0]]))
 
     def test_deterministic(self, rng):
-        q, _ = qr_orthonormalize(rng.standard_normal((6, 2)))
+        q, _ = _qr_signed(rng.standard_normal((6, 2)))
         rows = q.T
         a = null_space_completion(rows)
         b = null_space_completion(rows.copy())
@@ -250,7 +248,7 @@ class TestNullSpaceCompletion:
     def test_stack_matches_single_calls(self, rng):
         for n_cols, n_rows in ((4, 1), (4, 2), (6, 3)):
             mats = [
-                qr_orthonormalize(rng.standard_normal((n_cols, n_rows)))[0].T
+                _qr_signed(rng.standard_normal((n_cols, n_rows)))[0].T
                 for _ in range(6)
             ]
             mats.append(np.eye(n_cols)[:n_rows])
@@ -262,7 +260,7 @@ class TestNullSpaceCompletion:
 
     def test_stack_error_names_matrix(self, rng):
         stack = np.array(
-            [qr_orthonormalize(rng.standard_normal((4, 2)))[0].T for _ in range(5)]
+            [_qr_signed(rng.standard_normal((4, 2)))[0].T for _ in range(5)]
         )
         stack[3, 1] *= 2.0
         with pytest.raises(ValueError, match=r"stack index \(3,\)\) not orthonormal"):

@@ -5,7 +5,6 @@ from mpsprep import (
     CompressionOptions,
     Grid,
     Mps,
-    add,
     bipartite_vne,
     compress_als,
     overlap,
@@ -28,6 +27,19 @@ from conftest import random_mps
 
 def ones_product_state(n):
     return Mps([np.ones((1, 2, 1)) for _ in range(n)])
+
+
+def duplicate_bonds(m):
+    """The same state with every interior bond index doubled: each copy
+    carries half the weight, so every bond is twice its rank."""
+    cores = []
+    for i, c in enumerate(m.cores):
+        if i > 0:
+            c = np.concatenate([c, c], axis=0) / 2
+        if i < m.n_sites - 1:
+            c = np.concatenate([c, c], axis=2)
+        cores.append(c)
+    return Mps(cores)
 
 
 def right_isometry_deviation(m):
@@ -175,40 +187,19 @@ class TestToMpsExact:
         assert m.bond_dims[6] == 5
         assert np.max(np.abs(m.to_statevector() - t)) <= 1e-12
 
+    def test_single_site(self):
+        m = to_mps_exact([3.0, 4.0])
+        assert m.bond_dims == (1, 1)
+        assert np.allclose(m.to_statevector(), [3.0, 4.0], atol=1e-14)
+        assert np.allclose(tt_round(m).to_statevector(), [3.0, 4.0], atol=1e-14)
+
     def test_invalid_max_rank(self, rng):
         v = rng.standard_normal(16)
         for bad in (0, 2.5, True, "2"):
-            with pytest.raises(ValueError, match="max_rank"):
-                to_mps_exact(v, bad)
+            for vec in (v, [1.0, 0.0]):  # a one-site chain has no cut
+                with pytest.raises(ValueError, match="max_rank"):
+                    to_mps_exact(vec, bad)
         assert to_mps_exact(v, np.int64(2)).max_bond == 2
-
-
-class TestAdd:
-    def test_constants(self):
-        a = ones_product_state(3)
-        b = Mps([2 * np.ones((1, 2, 1))] + [np.ones((1, 2, 1))] * 2)
-        s = add(a, b)
-        assert np.allclose(s.to_statevector(), 3.0)
-        assert s.max_bond == 2
-
-    def test_polynomials_pointwise(self):
-        g = Grid(4, 0.0, 3.0)
-        a, b = poly_mps([0, 1], g), poly_mps([0, 0, 1], g)
-        got = add(a, b).to_statevector()
-        want = a.to_statevector() + b.to_statevector()
-        assert np.max(np.abs(got - want)) <= 1e-10
-
-    def test_linearity_random(self, rng):
-        for _ in range(10):
-            n = int(rng.integers(1, 7))
-            a = random_mps(n, 3, rng)
-            b = random_mps(n, 2, rng)
-            got = add(a, b).to_statevector()
-            assert np.allclose(got, a.to_statevector() + b.to_statevector(), atol=1e-12)
-
-    def test_site_mismatch(self):
-        with pytest.raises(ValueError, match="site count"):
-            add(ones_product_state(3), ones_product_state(4))
 
 
 class TestOverlapNorm:
@@ -234,6 +225,10 @@ class TestOverlapNorm:
         assert m.norm() == pytest.approx(
             np.linalg.norm(m.to_statevector()), rel=1e-10
         )
+
+    def test_site_mismatch(self):
+        with pytest.raises(ValueError, match="site count"):
+            overlap(ones_product_state(3), ones_product_state(4))
 
     def test_normalize_zero_rejected(self):
         z = Mps([np.zeros((1, 2, 1))])
@@ -279,12 +274,22 @@ class TestTtRound:
 
     def test_redundant_embedding_recovers(self, rng):
         m = random_mps(6, 2, rng)
-        doubled = add(m, m)
+        doubled = duplicate_bonds(m)
         assert doubled.max_bond == 4
         r = tt_round(doubled, 2)
         a = r.to_statevector() / np.linalg.norm(r.to_statevector())
         b = doubled.to_statevector() / np.linalg.norm(doubled.to_statevector())
         assert abs(np.dot(a, b)) >= 1.0 - 1e-10
+
+    def test_uncapped_round_drops_redundant_bonds(self):
+        m = poly_mps([0.5, -1.0, 0.25, 2.0], Grid(6, -1.0, 1.0))
+        doubled = duplicate_bonds(m)
+        assert doubled.bond_dims[1:-1] == tuple(2 * b for b in m.bond_dims[1:-1])
+        r = tt_round(doubled)
+        assert r.bond_dims == tt_round(m).bond_dims
+        assert r.max_bond <= 4
+        want = m.to_statevector()
+        assert np.max(np.abs(r.to_statevector() - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_max_bond_respected(self, rng):
         m = random_mps(8, 6, rng)
@@ -292,7 +297,7 @@ class TestTtRound:
 
     def test_result_right_canonical(self, rng):
         # The input is taken in any gauge; the result needs no further pass.
-        doubled = add(random_mps(6, 2, rng), random_mps(6, 2, rng))
+        doubled = duplicate_bonds(random_mps(6, 2, rng))
         for m in (random_mps(8, 6, rng), doubled, doubled.canonicalize("right")):
             for chi in (1, 2, 8):
                 r = tt_round(m, chi)
@@ -313,8 +318,9 @@ class TestTtRound:
     def test_invalid_max_rank(self, rng):
         m = random_mps(5, 3, rng)
         for bad in (0, 2.5, True, "2"):
-            with pytest.raises(ValueError, match="max_rank"):
-                tt_round(m, bad)
+            for chain in (m, ones_product_state(1)):  # one site: no cut
+                with pytest.raises(ValueError, match="max_rank"):
+                    tt_round(chain, bad)
         assert tt_round(m, np.int64(2)).max_bond == 2
 
 
@@ -515,7 +521,7 @@ def _reference_compress_als(m, opts):
     for i in range(n - 1, 0, -1):
         al, _, ar = work[i].shape
         res = truncated_svd(work[i].reshape(al, 2 * ar), opts.target_chi)
-        work[i] = res.vt.reshape(res.rank, 2, ar)
+        work[i] = res.vt.reshape(len(res.s), 2, ar)
         carry = res.u * res.s
         work[i - 1] = np.tensordot(work[i - 1], carry, axes=([2], [0]))
     t_cores = m.cores

@@ -1,10 +1,14 @@
 import importlib
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 import mpsprep
 
 LAYER_MODULES = ("linalg", "mps", "functions", "circuits", "simulate", "analysis", "pipeline")
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", LAYER_MODULES)
@@ -17,3 +21,18 @@ def test_layer_exports_resolve_and_are_reexported(name):
         assert getattr(mpsprep, attr, None) is getattr(mod, attr), (
             f"mpsprep does not re-export {name}.{attr}"
         )
+
+
+def test_benchmark_tracer_installs():
+    # The benchmark's tracer wraps every name in each layer's __all__ and
+    # the Mps methods it lists; a removal it depends on fails here first.
+    # A subprocess, because installing patches the package globally.
+    code = (
+        "import sys; sys.path[:0] = sys.argv[1:]\n"
+        "import mpsprep, tracing\n"
+        "tracing.Tracer().install(mpsprep)\n"
+    )
+    paths = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    cmd = [sys.executable, "-c", code, *paths]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

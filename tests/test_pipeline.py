@@ -138,10 +138,14 @@ class TestEncode:
         assert result.piecewise.support_bit == 2 and result.grid.n_qubits == 6
 
     def test_spectra_rejects_non_integer_chi(self):
+        # checked before any dense work: with no sigmas, and above the dense limit
         spec = gaussian_config().spec
         for bad in (2.5, True, "2"):
-            with pytest.raises(ValueError, match="chi must be an integer"):
-                spectra(spec, 6, [1.0], chi=bad)
+            for n, sigmas in ((6, [1.0]), (6, []), (200, [1.0])):
+                with pytest.raises(ValueError, match="chi must be an integer"):
+                    spectra(spec, n, sigmas, chi=bad)
+        with pytest.raises(ValueError, match="need chi >= 0"):
+            spectra(spec, 6, [], chi=-1)
 
     def test_dense_only_commands_refuse_big_registers(self, monkeypatch):
         monkeypatch.setenv("MPSPREP_DENSE_LIMIT", "6")
@@ -385,6 +389,7 @@ class TestSpectraReport:
 class TestOracleCompare:
     def test_ratio_range_and_flag(self):
         rep = oracle_compare(gaussian_config(n=8))
+        assert rep.ratio == rep.f_circuit / rep.f_optimal
         assert 0.0 < rep.ratio <= 1.0 + 1e-9
         assert not rep.exceeds_one
 
