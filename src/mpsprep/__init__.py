@@ -10,7 +10,6 @@ compressed cores. Every step is verifiable against exact dense oracles.
 from .linalg import (
     SvdConvergenceError,
     SvdResult,
-    null_space_completion,
     truncated_svd,
 )
 from .mps import (

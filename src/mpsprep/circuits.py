@@ -7,8 +7,9 @@ bottom, plus a final single-qubit gate. The layout is stated once, in
 running bond state one qubit down the chain, and the last gate acts on
 qubit N-1 alone. Extraction emits it, and inversion and validation
 compare against it. Gate columns come straight from right-canonical
-cores (other input is canonicalized first) and a deterministic kernel
-completion fills the rest, so identical inputs yield bit-identical circuits.
+cores (other input is canonicalized first). One complete Householder QR
+fills the rest, and each gate's free columns depend only on its own
+columns; identical inputs yield bit-identical circuits.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _as_real, null_space_completion
+from .linalg import _as_real
 from .mps import Mps
 
 __all__ = [
@@ -79,9 +80,10 @@ class Circuit:
                     )
 
 
-def _staircase_qubits(n: int) -> list[tuple[int, ...]]:
-    # The one staircase layout: (t, t+1) for t < n-1, then (n-1,) alone.
-    return [(t, t + 1) for t in range(n - 1)] + [(n - 1,)]
+def _staircase_qubits(n: int, count: int) -> list[tuple[int, ...]]:
+    # The first `count` slots of the one staircase layout on n qubits:
+    # (t, t+1) for t < n-1, then (n-1,) alone.
+    return [(t, t + 1) if t < n - 1 else (t,) for t in range(min(count, n))]
 
 
 def _gates_from_cores(cores) -> np.ndarray:
@@ -90,28 +92,27 @@ def _gates_from_cores(cores) -> np.ndarray:
     Column (b*2 + 0) of gate t carries cores[t][b, s, r] at row (s*2 + r):
     feeding the bond state on the upper qubit and |0> on the lower one
     emits the physical bit upward and the next bond state downward. The
-    remaining columns are a kernel completion, one per left bond size.
+    remaining columns come from one complete QR of all gates' (b, 0)
+    columns, zero-padded past the left bond: on a zero column the second
+    Householder reflector is the identity. Each gate's free columns
+    depend only on its own columns.
     """
-    gates = np.zeros((len(cores), 4, 4))
-    # Axes (s, r, b, lower input bit) of each row-major 4x4 view.
-    for gate, core in zip(gates.reshape(-1, 2, 2, 2, 2), cores):
-        gate[:, : core.shape[2], : core.shape[0], 0] = core.transpose(1, 2, 0)
-    cols = gates.swapaxes(1, 2)  # cols[t, j] is column j of gate t
-    left = np.array([core.shape[0] for core in cores])
-    for al in np.unique(left):
-        at = np.flatnonzero(left == al)
-        free = [j for j in range(4) if j % 2 or j >= 2 * al]
-        cols[np.ix_(at, free)] = null_space_completion(cols[at, : 2 * al : 2])
+    cols = np.zeros((len(cores), 4, 2))  # cols[t, s*2 + r, b]
+    for col, core in zip(cols.reshape(-1, 2, 2, 2), cores):
+        col[:, : core.shape[2], : len(core)] = core.transpose(1, 2, 0)
+    gates = np.linalg.qr(cols, mode="complete")[0][:, :, [0, 2, 1, 3]]
+    # Q spans each column up to sign and round-off; store the exact entries.
+    gates[:, :, 0] = cols[:, :, 0]
+    two = np.array([len(core) == 2 for core in cores], dtype=bool)
+    gates[two, :, 2] = cols[two, :, 1]
     return gates
 
 
 def _final_gate_from_core(core: np.ndarray) -> np.ndarray:
     """Single-qubit gate mapping the residual bond state to the last bit."""
     al = core.shape[0]
-    gate = np.zeros((2, 2))
+    gate = np.linalg.qr(core[:, :, 0].T, mode="complete")[0]
     gate[:, :al] = core[:, :, 0].T
-    if al == 1:
-        gate[:, 1] = null_space_completion(gate[:, :1].T)[0]
     return gate
 
 
@@ -149,7 +150,7 @@ def extract_circuit(m: Mps) -> Circuit:
 
     matrices = list(_gates_from_cores(canon.cores[:-1]))
     matrices.append(_final_gate_from_core(canon.cores[-1]))
-    layout = _staircase_qubits(canon.n_sites)
+    layout = _staircase_qubits(canon.n_sites, canon.n_sites)
     return Circuit(canon.n_sites, tuple(map(Gate, layout, matrices)))
 
 
@@ -162,7 +163,8 @@ def circuit_to_mps(c: Circuit) -> Mps:
     the staircase layout produced by :func:`extract_circuit`; gate
     orthogonality is not checked.
     """
-    if [g.qubits for g in c.gates] != _staircase_qubits(c.n_qubits):
+    qubits = [g.qubits for g in c.gates]
+    if len(qubits) != c.n_qubits or qubits != _staircase_qubits(c.n_qubits, c.n_qubits):
         raise ValueError("not a staircase circuit; cannot invert to an MPS")
     cores = []
     for i, gate in enumerate(c.gates[:-1]):
@@ -202,7 +204,7 @@ def validate_circuit(c: Circuit, tol: float = 1e-10) -> ValidationReport:
         raise ValueError(f"tol must be >= 0, got {tol}")
     issues = []
     max_dev = 0.0
-    layout = _staircase_qubits(c.n_qubits)
+    layout = _staircase_qubits(c.n_qubits, len(c.gates))
     staircase = True
     for idx, gate in enumerate(c.gates):
         dev = gate.orthogonality_deviation()

@@ -339,10 +339,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return IO_ERROR
-    except OSError as exc:
+    except (SchemaError, OSError) as exc:  # ahead of ValueError: SchemaError is one
         print(f"error: {exc}", file=sys.stderr)
         return IO_ERROR
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:

@@ -1,12 +1,11 @@
 """Dense real linear algebra with fixed sign conventions.
 
-Everything here operates on plain float64 ``numpy`` arrays. The pipeline
-uses three deterministic factorizations: :func:`truncated_svd`, whose left
-singular vectors have a positive first nonzero entry; the reduced QR of
-the MPS sweeps, whose R diagonal is non-negative; and
-:func:`null_space_completion`, Gram-Schmidt against the canonical basis
-in index order. These conventions make every downstream artifact (cores,
-gates, serialized circuits) reproducible bit for bit.
+Everything here operates on plain float64 ``numpy`` arrays. The MPS stages
+use two deterministic factorizations: :func:`truncated_svd`, whose left
+singular vectors have a positive first nonzero entry, and the reduced QR
+of the MPS sweeps, whose R diagonal is non-negative. These conventions
+make every downstream artifact (cores, gates, serialized circuits)
+reproducible bit for bit.
 
 The rank rule lives in :func:`truncated_svd` alone: a cut keeps its
 numerical rank, the values strictly above ``RANK_FLOOR`` of its largest,
@@ -24,7 +23,6 @@ __all__ = [
     "SvdConvergenceError",
     "SvdResult",
     "truncated_svd",
-    "null_space_completion",
 ]
 
 _SIGN_EPS = 1e-12
@@ -86,13 +84,13 @@ class SvdResult:
     truncation_error: float
 
 
-def _as_matrix(a, stack: bool = False) -> np.ndarray:
+def _as_matrix(a) -> np.ndarray:
     # Contiguous copy-in: identical values give identical results
-    # regardless of the caller's memory layout; ``stack`` admits (..., r, c).
+    # regardless of the caller's memory layout.
     m = np.ascontiguousarray(a, dtype=float)
-    if m.ndim != 2 and not (stack and m.ndim > 2):
+    if m.ndim != 2:
         raise ValueError(f"expected a 2-d array, got ndim={m.ndim}")
-    if m.shape[-2] < 1 or m.shape[-1] < 1:
+    if m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"matrix must be at least 1x1, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
@@ -155,51 +153,3 @@ def _qr_signed(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sign = np.where(np.diagonal(r) < 0, -1.0, 1.0)  # exact: flips signs only
     return q * sign, r * sign[:, None]
 
-
-def null_space_completion(rows) -> np.ndarray:
-    """Complete orthonormal rows to a full orthogonal basis.
-
-    Input is an r x c matrix (r < c) with orthonormal rows, or a stack
-    ``(..., r, c)`` of them; the result ``(..., c - r, c)`` has orthonormal
-    rows spanning each matrix's orthogonal complement, so stacking input
-    over output gives a c x c orthogonal matrix. Deterministic: Gram-Schmidt
-    against the canonical basis in index order, each new row's first
-    nonzero entry made positive. Stacked matrices are completed as if
-    alone; an error names the stack index of the matrix at fault.
-    """
-    r = _as_matrix(rows, stack=True)
-    stack, (n_rows, n_cols) = r.shape[:-2], r.shape[-2:]
-    if n_rows >= n_cols:
-        raise ValueError(f"need fewer rows than columns, got shape {r.shape}")
-    r = r.reshape(-1, n_rows, n_cols)
-
-    def at(k) -> str:
-        return f" (stack index {list(np.ndindex(stack))[k]})" if stack else ""
-
-    dev = np.max(np.abs(r @ r.swapaxes(1, 2) - np.eye(n_rows)), axis=(1, 2))
-    if np.any(dev > 1e-8):
-        k = int(np.argmax(dev))
-        raise ValueError(f"input rows{at(k)} not orthonormal (deviation {dev[k]:.3e})")
-
-    # basis[k] holds matrix k's rows, then its completion; rows not yet
-    # found are zero and project out nothing.
-    basis = np.concatenate([r, np.zeros((len(r), n_cols - n_rows, n_cols))], axis=1)
-    found = np.full(len(r), n_rows)
-    for i in range(n_cols):
-        v = np.zeros((len(r), n_cols, 1))
-        v[:, i] = 1.0
-        for _ in range(2):  # second pass removes round-off leakage
-            v -= basis.swapaxes(1, 2) @ (basis @ v)
-        nrm = np.sqrt(np.sum(v[:, :, 0] ** 2, axis=1))
-        take = (found < n_cols) & (nrm > 1e-8)
-        v = v[take, :, 0] / nrm[take, None]
-        first = np.argmax(np.abs(v) > _SIGN_EPS, axis=1)[:, None]
-        sign = np.where(np.take_along_axis(v, first, axis=1) < 0, -1.0, 1.0)
-        basis[np.flatnonzero(take), found[take]] = v * sign
-        found[take] += 1
-    if np.any(found < n_cols):
-        k = int(np.argmin(found))
-        raise ValueError(
-            f"failed to complete the basis{at(k)}; input rows may be degenerate"
-        )
-    return basis[:, n_rows:].reshape(stack + (n_cols - n_rows, n_cols))

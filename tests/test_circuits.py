@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,15 +19,30 @@ from mpsprep import (
     to_mps_exact,
     validate_circuit,
 )
-from mpsprep.circuits import _right_canonical
+from mpsprep.circuits import _final_gate_from_core, _gates_from_cores, _right_canonical
 
 from conftest import misplaced_terminal_circuit, random_mps
 
 
-def compressed_gaussian(n):
-    spec = DistributionSpec("gaussian", mu=1.0, sigma=1.0, domain=(0.0, 2.0))
+def compressed_gaussian(n, sigma=1.0):
+    spec = DistributionSpec("gaussian", mu=1.0, sigma=sigma, domain=(0.0, 2.0))
     g = Grid(n, 0.0, 2.0)
     return compress_als(assemble(fit_piecewise(spec, g, 3, 3), g), CompressionOptions())
+
+
+def peak_bytes(fn):
+    """Peak traced allocation while ``fn()`` runs, and what it returned."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+# One gate on a register of two million qubits: a cost that grows with the
+# register rather than the gate list shows up as hundreds of megabytes.
+HUGE_REGISTER = Circuit(n_qubits=2_000_000, gates=(Gate((0, 1), np.eye(4)),))
 
 
 def max_gate_gap(a, b):
@@ -110,6 +127,73 @@ class TestExtractCircuit:
             for gate in circ.gates:
                 assert gate.orthogonality_deviation() <= 1e-10
 
+    def test_mixed_bonds_keep_core_columns_exactly(self):
+        m = compressed_gaussian(64, sigma=0.44)
+        assert _right_canonical(m.cores)  # extraction reads these cores as-is
+        assert [c.shape[2] for c in m.cores[:-1]].count(1) == 21
+        circ = extract_circuit(m)
+        for gate in circ.gates:
+            assert gate.orthogonality_deviation() <= 1e-14
+        for gate, core in zip(circ.gates, m.cores[:-1]):
+            # Axes (s, r, b, lower input bit) of the row-major 4x4 gate.
+            cols = gate.matrix.reshape(2, 2, 2, 2)[:, :, : len(core), 0]
+            assert np.array_equal(cols[:, : core.shape[2]], core.transpose(1, 2, 0))
+            assert not np.any(cols[:, core.shape[2] :])
+        last = m.cores[-1]
+        assert np.array_equal(circ.gates[-1].matrix[:, : len(last)], last[:, :, 0].T)
+
+    def test_each_gate_depends_only_on_its_core(self, rng):
+        cores = compressed_gaussian(64, sigma=0.44).cores[:-1]
+        cores += random_mps(9, 2, rng).canonicalize("right").cores[1:-1]
+        gates = _gates_from_cores(cores)
+        for gate, core in zip(gates, cores):
+            assert np.array_equal(gate, _gates_from_cores([core])[0])
+
+
+def orthogonality_gap(matrix):
+    return np.max(np.abs(matrix.T @ matrix - np.eye(len(matrix))))
+
+
+class TestGateCompletion:
+    """The complete QR that fills each gate's free columns."""
+
+    def test_canonical_column(self):
+        core = np.zeros((1, 2, 2))
+        core[0, 0, 0] = 1.0
+        gate = _gates_from_cores([core])[0]
+        assert np.array_equal(gate[:, 0], [1.0, 0.0, 0.0, 0.0])
+        assert orthogonality_gap(gate) <= 1e-15
+
+    def test_tilted_column_of_left_bond_one(self):
+        s = 1 / np.sqrt(2)
+        core = np.array([[[s, s], [0.0, 0.0]]])
+        gate = _gates_from_cores([core])[0]
+        assert np.array_equal(gate[:, 0], [s, s, 0.0, 0.0])
+        assert orthogonality_gap(gate) <= 1e-12
+
+    def test_orthonormal_columns_of_left_bond_two(self, rng):
+        for _ in range(10):
+            q = np.linalg.qr(rng.standard_normal((4, 2)))[0]
+            gate = _gates_from_cores([q.T.reshape(2, 2, 2)])[0]
+            assert np.array_equal(gate[:, [0, 2]], q)
+            assert orthogonality_gap(gate) <= 1e-10
+
+    def test_empty_stack(self):
+        assert _gates_from_cores([]).shape == (0, 4, 4)
+
+    @pytest.mark.parametrize("left_bond", [1, 2])
+    def test_final_gate_keeps_core_columns(self, rng, left_bond):
+        rows = np.linalg.qr(rng.standard_normal((2, 2)))[0][:, :left_bond].T
+        gate = _final_gate_from_core(rows.reshape(left_bond, 2, 1))
+        assert np.array_equal(gate[:, :left_bond], rows.T)
+        assert orthogonality_gap(gate) <= 1e-14
+
+    def test_deterministic_on_copies(self, rng):
+        cores = random_mps(8, 2, rng).canonicalize("right").cores[:-1]
+        a = _gates_from_cores(cores)
+        b = _gates_from_cores([core.copy() for core in cores])
+        assert np.array_equal(a, b)
+
 
 class TestGaugeOnce:
     """Extraction re-canonicalizes only input that is not right-canonical."""
@@ -147,6 +231,13 @@ class TestCircuitToMps:
     def test_rejects_misplaced_terminal_gate(self):
         with pytest.raises(ValueError, match="not a staircase"):
             circuit_to_mps(misplaced_terminal_circuit())
+
+    def test_short_gate_list_rejected_without_the_layout(self):
+        def invert():
+            with pytest.raises(ValueError, match="not a staircase circuit"):
+                circuit_to_mps(HUGE_REGISTER)
+
+        assert peak_bytes(invert)[0] < 1 << 20
 
 
 class TestValidateCircuit:
@@ -187,6 +278,11 @@ class TestValidateCircuit:
         report = validate_circuit(Circuit(n_qubits=3, gates=(g,)))
         assert report.ok
         assert report.staircase
+
+    def test_cost_follows_the_gate_list(self):
+        peak, report = peak_bytes(lambda: validate_circuit(HUGE_REGISTER))
+        assert report.staircase and report.ok
+        assert peak < 1 << 20
 
     def test_invalid_tol_rejected(self):
         doubled = Circuit(n_qubits=1, gates=(Gate((0,), 2.0 * np.eye(2)),))

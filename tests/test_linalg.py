@@ -3,7 +3,7 @@ import pytest
 
 import scipy.linalg
 
-from mpsprep import SvdConvergenceError, null_space_completion, truncated_svd
+from mpsprep import SvdConvergenceError, truncated_svd
 from mpsprep.linalg import _SIGN_EPS, _fix_svd_signs, _qr_signed
 
 
@@ -205,63 +205,3 @@ class TestQr:
         assert np.all(np.diagonal(r) >= 0)
         assert np.max(np.abs(q @ r - m)) <= 1e-12 * np.max(np.abs(m))
 
-
-class TestNullSpaceCompletion:
-    def test_canonical_row(self):
-        out = null_space_completion(np.array([[1.0, 0.0, 0.0, 0.0]]))
-        assert out.shape == (3, 4)
-        assert np.allclose(out, np.eye(4)[1:])
-
-    def test_tilted_row(self):
-        s = 1 / np.sqrt(2)
-        out = null_space_completion(np.array([[s, s, 0.0, 0.0]]))
-        assert out.shape == (3, 4)
-        assert np.max(np.abs(out @ np.array([s, s, 0, 0]))) <= 1e-12
-        assert np.max(np.abs(out @ out.T - np.eye(3))) <= 1e-12
-
-    def test_stacked_orthogonal_from_mps_core(self, rng):
-        # two orthonormal rows like a normalized rank-2 core unfolding
-        q, _ = _qr_signed(rng.standard_normal((4, 2)))
-        rows = q.T
-        out = null_space_completion(rows)
-        full = np.vstack([rows, out])
-        assert np.max(np.abs(full.T @ full - np.eye(4))) <= 1e-10
-
-    def test_sign_convention(self, rng):
-        q, _ = _qr_signed(rng.standard_normal((5, 2)))
-        out = null_space_completion(q.T)
-        for row in out:
-            first = row[np.abs(row) > 1e-12][0]
-            assert first > 0
-
-    def test_rejects_non_orthonormal(self):
-        with pytest.raises(ValueError, match="not orthonormal"):
-            null_space_completion(np.array([[1.0, 1.0, 0.0, 0.0]]))
-
-    def test_deterministic(self, rng):
-        q, _ = _qr_signed(rng.standard_normal((6, 2)))
-        rows = q.T
-        a = null_space_completion(rows)
-        b = null_space_completion(rows.copy())
-        assert np.array_equal(a, b)
-
-    def test_stack_matches_single_calls(self, rng):
-        for n_cols, n_rows in ((4, 1), (4, 2), (6, 3)):
-            mats = [
-                _qr_signed(rng.standard_normal((n_cols, n_rows)))[0].T
-                for _ in range(6)
-            ]
-            mats.append(np.eye(n_cols)[:n_rows])
-            stack = np.array(mats).reshape(7, 1, n_rows, n_cols)
-            out = null_space_completion(stack)
-            assert out.shape == (7, 1, n_cols - n_rows, n_cols)
-            for got, rows in zip(out[:, 0], mats):
-                assert np.array_equal(got, null_space_completion(rows))
-
-    def test_stack_error_names_matrix(self, rng):
-        stack = np.array(
-            [_qr_signed(rng.standard_normal((4, 2)))[0].T for _ in range(5)]
-        )
-        stack[3, 1] *= 2.0
-        with pytest.raises(ValueError, match=r"stack index \(3,\)\) not orthonormal"):
-            null_space_completion(stack)

@@ -6,10 +6,8 @@ import pytest
 
 from mpsprep import (
     CSV_COLUMNS,
-    Circuit,
     CompressionOptions,
     DistributionSpec,
-    Gate,
     RunConfig,
     SchemaError,
     build_pipeline,
