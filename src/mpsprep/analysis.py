@@ -2,9 +2,11 @@
 
 Schmidt spectra of smooth amplitude vectors decay near-exponentially at
 every cut. Fitting sigma_k = alpha * exp(-beta * k) (k counted from 1)
-per cut and jointly over all cuts gives a decay rate beta from which a
-closed-form upper bound on the normalized squared error of a rank-chi
-truncation follows by summing the model geometrically. A decay rate of
+per cut and jointly over all cuts gives a decay rate beta. Summing the
+model geometrically gives a closed-form estimate of the normalized
+squared error of a rank-chi truncation. It is an estimate, not a bound:
+at N=12 the measured rank-2 truncation weight exceeds it 12 to 13,000
+times over the built-in families (ROADMAP item 11). A decay rate of
 ln(100)/(2*chi) marks the 99 percent accuracy threshold.
 """
 
@@ -101,16 +103,17 @@ def _check_chi(chi, n: int) -> None:
 
 
 def chi_bound(beta: float, chi: int, n: int) -> float:
-    """Normalized squared-error bound for a rank-chi truncation.
+    """The decay model's estimate of a rank-chi truncation's squared error.
 
     Summing the decay model geometrically over singular values k = chi+1
-    .. N against the total over k = 1 .. N gives
+    .. N against the total over k = 1 .. N gives the normalized estimate
 
         exp(-beta*chi) * sinh(beta*(N-chi)) / sinh(beta*N)
 
     which is ~exp(-2*beta*chi) for moderate beta*N. It equals 1 at
     chi = 0, vanishes at chi >= N, and decreases monotonically in both
-    beta and chi.
+    beta and chi. It is not a bound: measured truncation weights exceed
+    it (ROADMAP item 11).
     """
     if not beta > 0:  # NaN fails too
         raise ValueError(f"beta must be > 0, got {beta}")

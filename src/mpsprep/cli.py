@@ -2,7 +2,7 @@
 
 Verbs map one-to-one onto the library entry points: ``encode`` builds a
 single circuit, ``sweep-sigma`` / ``sweep-degree`` produce CSV campaigns,
-``spectra`` reports decay fits and accuracy bounds, ``oracle-compare``
+``spectra`` reports decay fits and accuracy estimates, ``oracle-compare``
 scores runs against the exact-SVD baseline, and ``validate`` checks a
 serialized circuit. An optional ``key = value`` config file supplies
 defaults; explicit flags win. Exit codes: 0 success, 1 usage error,
@@ -28,6 +28,7 @@ from .circuits import validate_circuit
 from .simulate import RunConfig
 from .pipeline import (
     SchemaError,
+    _csv,
     _sig12,
     deserialize_circuit,
     encode,
@@ -171,16 +172,9 @@ def _cmd_encode(args) -> int:
             json.dump(report.to_dict(), fh, indent=1)
             fh.write("\n")
     print(f"fidelity {_sig12(report.fidelity)} (vs {report.fidelity_vs})")
-    if report.errors is not None:
-        e = report.errors
-        print(
-            "errors pp {} mps {} gate {} total {}".format(
-                _sig12(e.pp_error),
-                _sig12(e.mps_error),
-                _sig12(e.gate_error),
-                _sig12(e.total),
-            )
-        )
+    if (e := report.errors) is not None:
+        values = map(_sig12, (e.pp_error, e.mps_error, e.gate_error, e.total))
+        print("errors pp {} mps {} gate {} total {}".format(*values))
     print(f"gates {len(circuit.gates)} max_bond {report.result.compressed.max_bond}")
     return 0
 
@@ -221,55 +215,36 @@ def _cmd_spectra(args) -> int:
     results = spectra(
         config.spec, config.n_qubits, sigmas, chi=config.compression.target_chi
     )
-    lines = ["sigma,beta,alpha,r_squared,chi_bound,max_derivative"]
-    for res in results:
-        alpha, beta = res.decay.joint
-        lines.append(
-            ",".join(
-                _sig12(v)
-                for v in (
-                    res.sigma,
-                    beta,
-                    alpha,
-                    res.decay.r_squared,
-                    res.chi_bound_value,
-                    res.max_pdf_derivative,
-                )
-            )
-        )
-    _write_text(args.out, "\n".join(lines) + "\n")
+    summary = [
+        (r.sigma, r.decay.beta, r.decay.joint[0], r.decay.r_squared,
+         r.chi_bound_value, r.max_pdf_derivative)
+        for r in results  # decay.joint is (alpha, beta)
+    ]
+    columns = ("sigma", "beta", "alpha", "r_squared", "chi_bound", "max_derivative")
+    _write_text(args.out, _csv(columns, summary))
     if args.detail:
-        detail = ["sigma,cut,k,singular_value"]
-        for res in results:
-            for cut, spectrum in enumerate(res.spectra, start=1):
-                for k, value in enumerate(spectrum, start=1):
-                    detail.append(
-                        f"{_sig12(res.sigma)},{cut},{k},{_sig12(float(value))}"
-                    )
-        _write_text(args.detail, "\n".join(detail) + "\n")
+        detail = [
+            (r.sigma, cut, k, float(value))
+            for r in results
+            for cut, spectrum in enumerate(r.spectra, start=1)
+            for k, value in enumerate(spectrum, start=1)
+        ]
+        _write_text(args.detail, _csv(("sigma", "cut", "k", "singular_value"), detail))
     return 0
 
 
 def _cmd_oracle_compare(args) -> int:
     config = _resolve_run_config(args)
     n_values = args.n_list or [config.n_qubits]
-    lines = ["distribution,sigma,N,f_circuit,f_optimal,ratio,exceeds_one"]
+    rows = []
     for n in n_values:
         rep = oracle_compare(replace(config, n_qubits=n))
-        lines.append(
-            ",".join(
-                [
-                    config.spec.kind,
-                    _sig12(config.spec.sigma),
-                    str(n),
-                    _sig12(rep.f_circuit),
-                    _sig12(rep.f_optimal),
-                    _sig12(rep.ratio),
-                    str(rep.exceeds_one).lower(),
-                ]
-            )
+        rows.append(
+            (config.spec.kind, config.spec.sigma, n, rep.f_circuit, rep.f_optimal,
+             rep.ratio, rep.exceeds_one)
         )
-    _write_text(args.out, "\n".join(lines) + "\n")
+    columns = ("distribution", "sigma", "N", "f_circuit", "f_optimal", "ratio", "exceeds_one")
+    _write_text(args.out, _csv(columns, rows))
     return 0
 
 
@@ -280,7 +255,7 @@ def _cmd_validate(args) -> int:
         f"qubits {report.n_qubits} gates {report.gate_count} "
         f"(two-qubit {report.two_qubit_count}) "
         f"max_orthogonality_deviation {_sig12(report.max_orthogonality_deviation)} "
-        f"staircase {str(report.staircase).lower()}"
+        f"staircase {_sig12(report.staircase)}"
     )
     for issue in report.issues:
         print(f"issue: {issue}")

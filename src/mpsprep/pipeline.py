@@ -13,7 +13,7 @@ round-trip losslessly through a small JSON schema.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -59,9 +59,18 @@ FORMAT_VERSION = "1"
 
 
 def _sig12(x) -> str:
+    if isinstance(x, bool):
+        return "true" if x else "false"
     if isinstance(x, float):
         return f"{x:.12g}"
     return str(x)
+
+
+def _csv(columns: Sequence[str], rows) -> str:
+    # The one CSV writer: the header, then one line per row of values.
+    lines = [",".join(columns)]
+    lines.extend(",".join(map(_sig12, row)) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -82,31 +91,24 @@ class RunReport:
     errors: ErrorDecomposition | None
 
     def to_dict(self) -> dict:
-        spec, opts, res = self.config.spec, self.config.compression, self.result
+        res = self.result
+        run = {f.name: getattr(self.config, f.name) for f in fields(self.config)}
+        spec, opts = run.pop("spec"), run.pop("compression")
         out = {
             "config": {
                 "distribution": spec.kind,
                 "mu": spec.mu,
                 "sigma": spec.sigma,
                 "domain": list(spec.domain),
-                "n_qubits": self.config.n_qubits,
-                "support_bit": self.config.support_bit,
-                "degree": self.config.degree,
-                "samples_per_region": self.config.samples_per_region,
-                "target_chi": opts.target_chi,
-                "max_sweeps": opts.max_sweeps,
-                "convergence_tol": opts.convergence_tol,
+                **run,
+                **asdict(opts),
             },
             "fidelity": self.fidelity,
             "fidelity_vs": self.fidelity_vs,
             "assembled_bonds": list(res.assembled.bond_dims),
             "compressed_bonds": list(res.compressed.bond_dims),
             "gate_count": len(res.circuit.gates),
-            "timings_ms": {
-                "fit": res.t_fit_ms,
-                "compress": res.t_compress_ms,
-                "extract": res.t_extract_ms,
-            },
+            "timings_ms": dict(res.timings_ms),
         }
         if self.errors is not None:
             out["errors"] = {
@@ -166,18 +168,13 @@ class SweepRow:
     t_extract_ms: float = float("nan")
     error: str = ""  # non-empty when the cell failed; excluded from CSV
 
-    def csv_values(self) -> list[str]:
-        return [_sig12(getattr(self, col)) for col in CSV_COLUMNS]
-
 
 CSV_COLUMNS = tuple(f.name for f in fields(SweepRow) if f.name != "error")
 
 
 def render_csv(rows: Sequence[SweepRow]) -> str:
     """Header plus one line per row; always includes the header."""
-    lines = [",".join(CSV_COLUMNS)]
-    lines.extend(",".join(row.csv_values()) for row in rows)
-    return "\n".join(lines) + "\n"
+    return _csv(CSV_COLUMNS, ([getattr(r, c) for c in CSV_COLUMNS] for r in rows))
 
 
 def _run_cell(config: RunConfig) -> SweepRow:
@@ -192,10 +189,10 @@ def _run_cell(config: RunConfig) -> SweepRow:
         "chi": config.compression.target_chi,
     }
     try:
-        _, report = encode(config)
+        circuit, report = encode(config)
     except Exception as exc:  # record the failure, keep sweeping
         return SweepRow(**base, error=str(exc))
-    err, res = report.errors, report.result
+    err, t = report.errors, report.result.timings_ms
     nan = float("nan")
     return SweepRow(
         **base,
@@ -203,10 +200,10 @@ def _run_cell(config: RunConfig) -> SweepRow:
         pp_err=err.pp_error if err else nan,
         mps_err=err.mps_error if err else nan,
         gate_err=err.gate_error if err else nan,
-        gate_count=len(res.circuit.gates),
-        t_fit_ms=res.t_fit_ms,
-        t_compress_ms=res.t_compress_ms,
-        t_extract_ms=res.t_extract_ms,
+        gate_count=len(circuit.gates),
+        t_fit_ms=t["fit"],
+        t_compress_ms=t["compress"],
+        t_extract_ms=t["extract"],
     )
 
 
@@ -244,7 +241,8 @@ def sweep_degree(config: RunConfig, degrees: Sequence[int]) -> list[SweepRow]:
 
 @dataclass(frozen=True)
 class SpectraSummary:
-    """Spectral analysis of one target: spectra, decay fit, bound, slope."""
+    """Spectral analysis of one target: spectra, decay fit, the decay
+    model's rank-chi error estimate (not a bound; ROADMAP item 11), slope."""
 
     sigma: float
     spectra: tuple[np.ndarray, ...]
@@ -286,8 +284,14 @@ class OptimalityReport:
 
     f_circuit: float
     f_optimal: float
-    ratio: float
-    exceeds_one: bool
+
+    @property
+    def ratio(self) -> float:
+        return self.f_circuit / self.f_optimal
+
+    @property
+    def exceeds_one(self) -> bool:
+        return self.ratio > 1.0 + 1e-9
 
 
 def oracle_compare(config: RunConfig) -> OptimalityReport:
@@ -304,15 +308,7 @@ def oracle_compare(config: RunConfig) -> OptimalityReport:
     baseline = to_mps_exact(exact, chi)
     f_optimal = fidelity(exact, baseline.normalize().to_statevector())
 
-    circuit, report = encode(config)
-    f_circuit = report.fidelity
-    ratio = f_circuit / f_optimal
-    return OptimalityReport(
-        f_circuit=f_circuit,
-        f_optimal=f_optimal,
-        ratio=ratio,
-        exceeds_one=ratio > 1.0 + 1e-9,
-    )
+    return OptimalityReport(f_circuit=encode(config)[1].fidelity, f_optimal=f_optimal)
 
 
 class SchemaError(ValueError):
@@ -348,7 +344,7 @@ def deserialize_circuit(path) -> Circuit:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaError("$", f"not valid JSON: {exc}") from exc
 
     version = _require(payload, "format_version", "$")

@@ -1,4 +1,9 @@
-"""Exact statevector simulation and stage-by-stage error accounting.
+"""The run driver, exact statevector simulation, and per-stage error accounting.
+
+:class:`RunConfig` holds every knob of one run. :func:`build_pipeline`
+checks them and runs fit, assembly, compression and extraction, each
+stage in one ``_stage`` block that times it into
+``PipelineResult.timings_ms`` and prefixes a failure with its name.
 
 States are dense big-endian float vectors. The simulator applies the
 gates one at a time and stores only the qubits some gate has touched:
@@ -95,8 +100,10 @@ def fidelity(a, b) -> float:
 
 
 @contextmanager
-def _stage(name: str):
-    # Prefix failures with the pipeline stage, preserving the exception type.
+def _stage(name: str, timings_ms: dict[str, float]):
+    # Time the block into timings_ms[name]; prefix a failure with the
+    # stage name, preserving the exception type.
+    t0 = time.perf_counter()
     try:
         yield
     except Exception as exc:
@@ -105,6 +112,7 @@ def _stage(name: str):
         else:
             exc.args = (f"{name} stage failed",) + exc.args
         raise
+    timings_ms[name] = (time.perf_counter() - t0) * 1e3
 
 
 @dataclass(frozen=True)
@@ -131,7 +139,10 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Everything the construction produces, one stage at a time."""
+    """Everything the construction produces, one stage at a time.
+
+    ``timings_ms`` maps each stage name to its wall time, in run order.
+    """
 
     spec: DistributionSpec
     grid: Grid
@@ -139,9 +150,7 @@ class PipelineResult:
     assembled: Mps
     compressed: Mps
     circuit: Circuit
-    t_fit_ms: float
-    t_compress_ms: float
-    t_extract_ms: float
+    timings_ms: dict[str, float]
 
 
 def build_pipeline(
@@ -161,32 +170,17 @@ def build_pipeline(
         spec, n_qubits, support_bit, degree, samples_per_region, compression
     )
     grid = Grid.for_spec(spec, cfg.n_qubits)
-
-    t0 = time.perf_counter()
-    with _stage("fit"):
+    timings_ms: dict[str, float] = {}
+    with _stage("fit", timings_ms):
         pp = fit_piecewise(
             spec, grid, cfg.support_bit, cfg.degree, cfg.samples_per_region
         )
         assembled = assemble(pp, grid)
-    t1 = time.perf_counter()
-    with _stage("compress"):
+    with _stage("compress", timings_ms):
         compressed = compress_als(assembled, compression)
-    t2 = time.perf_counter()
-    with _stage("extract"):
+    with _stage("extract", timings_ms):
         circuit = extract_circuit(compressed)
-    t3 = time.perf_counter()
-
-    return PipelineResult(
-        spec=spec,
-        grid=grid,
-        piecewise=pp,
-        assembled=assembled,
-        compressed=compressed,
-        circuit=circuit,
-        t_fit_ms=(t1 - t0) * 1e3,
-        t_compress_ms=(t2 - t1) * 1e3,
-        t_extract_ms=(t3 - t2) * 1e3,
-    )
+    return PipelineResult(spec, grid, pp, assembled, compressed, circuit, timings_ms)
 
 
 @dataclass(frozen=True)

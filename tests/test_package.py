@@ -26,11 +26,20 @@ def test_layer_exports_resolve_and_are_reexported(name):
 def test_benchmark_tracer_installs():
     # The benchmark's tracer wraps every name in each layer's __all__ and
     # the Mps methods it lists; a removal it depends on fails here first.
-    # A subprocess, because installing patches the package globally.
+    # One traced encode checks that calls through the package and between
+    # layers reach the wrappers. A subprocess, because installing patches
+    # the package globally.
     code = (
         "import sys; sys.path[:0] = sys.argv[1:]\n"
         "import mpsprep, tracing\n"
-        "tracing.Tracer().install(mpsprep)\n"
+        "tracer = tracing.Tracer()\n"
+        "tracer.install(mpsprep)\n"
+        "tracer.enabled = True\n"
+        "spec = mpsprep.DistributionSpec('gaussian', 1.0, 1.0, (0.0, 2.0))\n"
+        "mpsprep.encode(mpsprep.RunConfig(spec=spec, n_qubits=8))\n"
+        "layers = tracer.layers()\n"
+        "for name in ('pipeline.encode', 'simulate.build_pipeline', 'mps.compress_als'):\n"
+        "    assert layers.get(name, {}).get('calls') == 1, (name, sorted(layers))\n"
     )
     paths = [str(ROOT / "src"), str(ROOT / "perfbench")]
     cmd = [sys.executable, "-c", code, *paths]

@@ -80,9 +80,8 @@ class TestEncode:
         assert d["assembled_bonds"] == list(res.assembled.bond_dims)
         assert d["compressed_bonds"] == list(res.compressed.bond_dims)
         assert d["gate_count"] == len(circuit.gates)
-        assert d["timings_ms"] == {
-            "fit": res.t_fit_ms, "compress": res.t_compress_ms, "extract": res.t_extract_ms
-        }
+        assert d["timings_ms"] == res.timings_ms
+        assert list(d["timings_ms"]) == ["fit", "compress", "extract"]
 
     def test_report_fidelity_self_consistent(self, tmp_path):
         # re-derive the reported fidelity from the emitted circuit alone
@@ -119,6 +118,13 @@ class TestEncode:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError, match="degree must be >= 0, got -1"):
             gaussian_config(degree=-1)
+
+    def test_failure_names_its_stage(self):
+        # sigma=0.1 needs bond 3 at N=8, which the staircase cannot hold
+        spec = gaussian_config(sigma=0.1).spec
+        opts = CompressionOptions(target_chi=3)
+        with pytest.raises(ValueError, match="^extract stage: max bond dimension is 3"):
+            build_pipeline(spec, 8, compression=opts)
 
     def test_build_pipeline_checks_run_config_fields(self):
         spec = gaussian_config().spec
@@ -342,14 +348,10 @@ class TestDeterminism:
             circuit, _ = encode(cfg)
             path = tmp_path / name
             serialize_circuit(circuit, path)
-            rows = sweep_sigma(cfg, [0.5, 1.0])
+            lines = render_csv(sweep_sigma(cfg, [0.5, 1.0])).splitlines()
             stripped = [
-                ",".join(
-                    v
-                    for col, v in zip(CSV_COLUMNS, r.csv_values())
-                    if not col.startswith("t_")
-                )
-                for r in rows
+                [v for col, v in zip(CSV_COLUMNS, line.split(",")) if not col.startswith("t_")]
+                for line in lines
             ]
             return path.read_bytes(), stripped
 
@@ -513,6 +515,14 @@ class TestSerialization:
         with pytest.raises(SchemaError, match="not valid JSON"):
             deserialize_circuit(path)
 
+    def test_not_utf8(self, tmp_path):
+        # a UTF-16 byte-order mark: a file-format error, not a numerical one
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(SchemaError, match=r"^\$: not valid JSON"):
+            deserialize_circuit(path)
+        assert main(["validate", str(path)]) == 3
+
 
 class TestCli:
     def test_encode_writes_outputs(self, tmp_path, capsys):
@@ -616,8 +626,13 @@ class TestCli:
             ]
         )
         assert code == 0
-        assert out.read_text().startswith("sigma,beta,alpha")
-        assert detail.read_text().startswith("sigma,cut,k")
+        summary = out.read_text().splitlines()
+        assert summary[0] == "sigma,beta,alpha,r_squared,chi_bound,max_derivative"
+        assert [len(line.split(",")) for line in summary[1:]] == [6, 6]
+        lines = detail.read_text().splitlines()
+        assert lines[0] == "sigma,cut,k,singular_value"
+        assert len(lines) > 1
+        assert all(len(line.split(",")) == 4 for line in lines)
 
     def test_oracle_compare_out(self, tmp_path):
         out = tmp_path / "oracle.csv"
@@ -628,6 +643,8 @@ class TestCli:
         assert code == 0
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 3
+        assert lines[0] == "distribution,sigma,N,f_circuit,f_optimal,ratio,exceeds_one"
+        assert [line.split(",")[-1] for line in lines[1:]] == ["false", "false"]
 
     def test_usage_error_exit_code(self):
         assert main(["encode", "--n", "not-a-number"]) == 1
