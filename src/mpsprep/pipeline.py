@@ -33,6 +33,7 @@ from .simulate import (
     PipelineResult,
     RunConfig,
     _gate_fidelity,
+    _stage,
     build_pipeline,
     error_decomposition,
     fidelity,
@@ -127,8 +128,9 @@ def encode(config: RunConfig) -> tuple[Circuit, RunReport]:
     When the register fits the dense limit, fidelity is measured against
     the exact target state; otherwise only against the compressed MPS,
     by the same MPS overlap that gives ``gate_error`` below the limit,
-    and the report says so. The report keeps the run's
-    :class:`PipelineResult` as ``report.result``.
+    and the report says so. Verification is timed as a fourth stage,
+    ``verify``, in ``report.result.timings_ms``. The report keeps the
+    run's :class:`PipelineResult` as ``report.result``.
     """
     result = build_pipeline(
         config.spec,
@@ -138,11 +140,12 @@ def encode(config: RunConfig) -> tuple[Circuit, RunReport]:
         config.samples_per_region,
         config.compression,
     )
-    if config.n_qubits <= dense_qubit_limit():
-        errors = error_decomposition(result)
-        fid, fid_vs = errors.fidelity, "exact_target"
-    else:
-        errors, fid, fid_vs = None, _gate_fidelity(result), "compressed_mps"
+    with _stage("verify", result.timings_ms):
+        if config.n_qubits <= dense_qubit_limit():
+            errors = error_decomposition(result)
+            fid, fid_vs = errors.fidelity, "exact_target"
+        else:
+            errors, fid, fid_vs = None, _gate_fidelity(result), "compressed_mps"
     return result.circuit, RunReport(config, result, fid, fid_vs, errors)
 
 

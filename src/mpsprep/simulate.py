@@ -17,8 +17,11 @@ as its output.
 Error accounting takes one run of the construction (fit, assemble,
 compress, extract) and attributes its final infidelity to the three
 sources by successive overlap drops; shares are each drop divided by
-the total infidelity. Figures against the exact target are dense;
-compression and gate drops are exact MPS overlaps, with no 2^N vector.
+the total infidelity. The fit is compared with the dense exact target.
+The total contracts that target with the circuit split at its middle
+qubit: the same simulator runs the gates above and below the cut, so no
+2^N circuit state is built. Compression and gate drops are exact MPS
+overlaps, with no 2^N vector.
 """
 
 from __future__ import annotations
@@ -64,21 +67,55 @@ def run(c: Circuit) -> np.ndarray:
     are appended at the end and the axes put in big-endian qubit order.
     """
     _check_dense(c.n_qubits, "run")
-    held: list[int] = []  # qubit stored on each axis, in axis order
-    psi = np.ones(())
-    for gate in c.gates:
+    return _gather(*_apply(np.ones(()), [], c.gates), range(c.n_qubits)).reshape(-1)
+
+
+def _apply(psi: np.ndarray, held: list[int], gates) -> tuple[np.ndarray, list[int]]:
+    # The simulator: apply `gates` in order to psi, whose axes hold the
+    # qubits `held`. Returns the new state and its axis labels.
+    for gate in gates:
         qubits = list(gate.qubits)
         joining = [q for q in qubits if q not in held]
         psi = _join_zero(psi, len(joining))
-        held += joining
+        held = held + joining
         rest = [q for q in held if q not in qubits]
         psi = psi.transpose([held.index(q) for q in rest + qubits])
         held = rest + qubits
         out = psi.reshape(-1, 2 ** len(qubits)) @ gate.matrix.T
         psi = out.reshape(psi.shape)
-    idle = [q for q in range(c.n_qubits) if q not in held]
+    return psi, held
+
+
+def _gather(psi: np.ndarray, held: list[int], order) -> np.ndarray:
+    # psi with the untouched qubits of `order` joined as |0> and its axes
+    # put in the order of `order`, which must name every held axis.
+    order = list(order)
+    idle = [q for q in order if q not in held]
     psi = _join_zero(psi, len(idle))
-    return np.transpose(psi, np.argsort(held + idle)).reshape(-1)
+    return np.transpose(psi, [(held + idle).index(q) for q in order])
+
+
+def _split_overlap(target: np.ndarray, c: Circuit) -> float:
+    # <target|circuit state> with no 2^N circuit state, cut at qubit
+    # h = N // 2. The first h gates must act on qubits 0..h and the rest
+    # on h..N-1, as in a staircase. head[x, c] holds qubits 0..h-1 = x,
+    # qubit h = c; the tail runs on both basis states c of qubit h at
+    # once, on an identity whose axis -1 no gate touches, and tail[c, y]
+    # holds qubits h..N-1 = y. The state is head @ tail.
+    n = c.n_qubits
+    h = n // 2
+    for i, gate in enumerate(c.gates):
+        lo, hi = (0, h) if i < h else (h, n - 1)
+        if not all(lo <= q <= hi for q in gate.qubits):
+            raise ValueError(
+                f"circuit does not split at qubit h={h}: gate {i} acts on "
+                f"{gate.qubits}, outside qubits {lo}..{hi}"
+            )
+    head = _gather(*_apply(np.ones(()), [], c.gates[:h]), range(h + 1))
+    head = head.reshape(2**h, 2)
+    tail = _gather(*_apply(np.eye(2), [-1, h], c.gates[h:]), [-1, *range(h, n)])
+    tail = tail.reshape(2, 2 ** (n - h))
+    return float(np.sum(head * (target.reshape(2**h, -1) @ tail.T)))
 
 
 def _join_zero(psi: np.ndarray, count: int) -> np.ndarray:
@@ -187,8 +224,10 @@ def build_pipeline(
 class ErrorDecomposition:
     """Infidelity split by construction stage.
 
-    ``pp_error`` is 1 - F(exact target, normalized piecewise values) and
-    ``total`` is 1 - F(exact target, circuit output), both dense.
+    ``pp_error`` is 1 - F(exact target, normalized piecewise values),
+    two dense vectors. ``total`` is 1 - F(exact target, circuit output), with
+    the circuit contracted in two halves split at its middle qubit and
+    no 2^N circuit state.
     ``mps_error`` = 1 - |<assembled|compressed>| / ||assembled|| and
     ``gate_error`` = 1 - |<compressed|circuit state>| are exact MPS
     overlaps. Each share is one drop divided by the total infidelity
@@ -220,15 +259,18 @@ def _gate_fidelity(result: PipelineResult) -> float:
 
 
 def error_decomposition(result: PipelineResult) -> ErrorDecomposition:
-    """Attribute a run's end-to-end infidelity to fit, compression, and gates."""
-    # At most two 2^N vectors at once: the target and the fit, then the
-    # target and the circuit state.
+    """Attribute a run's end-to-end infidelity to fit, compression, and gates.
+
+    The total is the circuit's overlap with the exact target, contracted
+    gate by gate in two halves split at the middle qubit, so the only
+    2^N vectors are the target and, before it, the fit.
+    """
     exact = target_amplitudes(result.spec, result.grid.n_qubits)
     pp_values = result.piecewise.values(result.grid)
     pp_values /= np.linalg.norm(pp_values)
     f_pp = fidelity(exact, pp_values)
     del pp_values
-    f_total = fidelity(exact, run(result.circuit))
+    f_total = min(abs(_split_overlap(exact, result.circuit)), 1.0)
     a = result.assembled
     f_compress = min(abs(overlap(a, result.compressed)) / a.norm(), 1.0)
     return ErrorDecomposition(

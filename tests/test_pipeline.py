@@ -81,7 +81,7 @@ class TestEncode:
         assert d["compressed_bonds"] == list(res.compressed.bond_dims)
         assert d["gate_count"] == len(circuit.gates)
         assert d["timings_ms"] == res.timings_ms
-        assert list(d["timings_ms"]) == ["fit", "compress", "extract"]
+        assert list(d["timings_ms"]) == ["fit", "compress", "extract", "verify"]
 
     def test_report_fidelity_self_consistent(self, tmp_path):
         # re-derive the reported fidelity from the emitted circuit alone

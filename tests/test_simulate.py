@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from mpsprep import (
     extract_circuit,
     fidelity,
     run,
+    target_amplitudes,
 )
+from mpsprep.simulate import _split_overlap
 
 from conftest import random_mps
 
@@ -120,6 +124,53 @@ class TestErrorDecomposition:
         dec = error_decomposition(build_pipeline(spec, 8))
         product = (1 - dec.pp_error) * (1 - dec.mps_error) * (1 - dec.gate_error)
         assert 1 - dec.total >= product - 1e-6
+
+
+class TestSplitOverlap:
+    def test_matches_dense_overlap(self, rng):
+        # N = 1 and 2 cut at h = 0 and h = 1: an empty head, then one gate.
+        spec = DistributionSpec("gaussian", mu=1.0, sigma=0.44, domain=(0.0, 2.0))
+        for n in range(1, 17):
+            circuits = [
+                build_pipeline(spec, n, support_bit=min(3, n - 1)).circuit,
+                extract_circuit(random_mps(n, 2, rng).normalize()),
+            ]
+            noise = rng.standard_normal(2**n)
+            for target in (target_amplitudes(spec, n), noise / np.linalg.norm(noise)):
+                for circ in circuits:
+                    got = _split_overlap(target, circ)
+                    assert abs(got - target @ run(circ)) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "qubits, gate",
+        [
+            ([(0, 1), (1, 2), (2, 3), (0,)], 3),  # a tail gate below the cut
+            ([(0, 1), (2, 3), (1, 2), (3,)], 1),  # a head gate above the cut
+        ],
+    )
+    def test_rejects_a_circuit_that_does_not_split(self, qubits, gate, rng):
+        circ = Circuit(
+            n_qubits=4,
+            gates=tuple(Gate(q, _random_orthogonal(rng, 2 ** len(q))) for q in qubits),
+        )
+        target = np.eye(16)[0]
+        with pytest.raises(ValueError, match=rf"split at qubit h=2: gate {gate} "):
+            _split_overlap(target, circ)
+
+    def test_no_dense_circuit_state(self):
+        # Only the target and, before it, the fit are 2^N vectors: the
+        # traced peak stays near two of them, not the three or more that a
+        # dense circuit state alongside the target would take.
+        n = 18
+        spec = DistributionSpec("gaussian", mu=1.0, sigma=0.44, domain=(0.0, 2.0))
+        res = build_pipeline(spec, n)
+        tracemalloc.start()
+        try:
+            error_decomposition(res)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * 2**n
 
 
 def _tensordot_run(c):
