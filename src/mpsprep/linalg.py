@@ -31,6 +31,15 @@ _SIGN_EPS = 1e-12
 # strictly above this fraction of the cut's largest; the rest is round-off.
 RANK_FLOOR = 1e-13
 
+# An MPS core whose two slices differ by at most this fraction of its
+# largest entry counts as a product with |+>: replacing both slices by
+# their mean moves each slice by at most half of it, relative. Over
+# a trailing run of up to 1023 such sites the errors add to ~1e-13, below
+# RANK_FLOOR, so no cut sees them. An assembled state at k=3, p=3
+# reaches this from site 57 on, where one bit moves the region
+# coordinate by less than a float can resolve.
+PRODUCT_TOL = 1e-16
+
 
 def _as_int(value, name: str) -> int:
     """``value`` as a Python int; numpy integers are accepted, and a bool,

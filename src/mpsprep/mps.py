@@ -11,7 +11,10 @@ evaluation, inner products, canonical forms, rank reduction by
 truncated-SVD sweeps (each bond cut to its numerical rank, optionally
 capped at ``max_rank``, by :func:`~mpsprep.linalg.truncated_svd`), and
 variational fixed-rank compression by alternating single-site overlap
-maximization.
+maximization. Compression works on the head of the chain only: a
+trailing run of cores whose two slices agree to ``PRODUCT_TOL`` of the
+core's largest entry is |+> on every site of the run times one matrix,
+so it is folded into the head and handed on as exact |+> cores.
 
 Every pass over the chain is written once, left to right; a right-to-left
 pass runs it on the mirrored chain (cores reversed, bond axes swapped).
@@ -30,7 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _check_max_rank, _int_field, _qr_signed, _real_field, truncated_svd
+from .linalg import (
+    PRODUCT_TOL,
+    _check_max_rank,
+    _int_field,
+    _qr_signed,
+    _real_field,
+    truncated_svd,
+)
 
 __all__ = [
     "Mps",
@@ -263,17 +273,38 @@ def tt_round(m: Mps, max_rank: int | None = None) -> Mps:
 def compress_als(m: Mps, opts: CompressionOptions) -> Mps:
     """Best fixed-rank approximation by alternating single-site updates.
 
+    Only the head of the chain is compressed. The trailing run of cores
+    whose two slices agree to ``PRODUCT_TOL`` (1e-16) of the core's
+    largest entry is |+> on each of its t sites times one matrix; that
+    matrix is folded into the last head core, and the result ends in t
+    exact |+> cores. The overlap with a fixed unit product factorizes, so
+    the best approximation of head (x) |+>^t is the best one of the head
+    with |+>^t appended. Without such a run the head is the whole chain.
+
     Sweeps maximize the overlap with the input, taken in any gauge and
     unnormalized: the cached boundary environments are linear in it and
     each half sweep divides its end core by that core's norm, so a norm
     of order 2^(N/2) (assembled states up to N = 1023) is never squared.
     Each local problem contracts the environments with one target core;
-    a sweep costs O(N) contractions sized by the bond dimensions. The
+    a sweep costs O(head) contractions sized by the bond dimensions. The
     truncated-SVD start counts as sweep 0, so a converged start costs one
     sweep; it is right-canonical as ``tt_round`` leaves it. The result is
     normalized, right-canonical (``extract_circuit`` takes it as it
     stands), and never worse than that start. A zero input is rejected.
     """
+    h, fold = _split_product_tail(m.cores)
+    head = m
+    if h < m.n_sites:
+        last = m.cores[h - 1]
+        folded = (last.reshape(-1, last.shape[2]) @ fold).reshape(len(last), 2, 1)
+        head = Mps(m.cores[: h - 1] + (folded,))
+    plus = np.full((1, 2, 1), np.sqrt(0.5))
+    return Mps(_compress_head(head, opts) + [plus] * (m.n_sites - h))
+
+
+def _compress_head(m: Mps, opts: CompressionOptions) -> list[np.ndarray]:
+    """The compressed cores of ``m``, every site swept: :func:`compress_als`
+    once the tail is set aside."""
     start = tt_round(m, opts.target_chi)
     if not np.any(start.cores[0]):
         raise ValueError("cannot compress the zero state")
@@ -294,7 +325,43 @@ def compress_als(m: Mps, opts: CompressionOptions) -> Mps:
         prev, ovl = ovl, nrm
         if abs(ovl - prev) <= opts.convergence_tol * max(abs(ovl), 1e-300):
             break
-    return Mps(_mirror(work))
+    return _mirror(work)
+
+
+def _split_product_tail(cores) -> tuple[int, np.ndarray]:
+    """``(h, fold)``: cores h.. (h >= 1) are the longest trailing run whose
+    two slices agree to ``PRODUCT_TOL`` of the core's largest entry, and
+    ``fold`` (bond h, 1) is the product of their slice means, so the chain
+    is cores[:h] @ fold times |+>^(N-h) up to a factor 2^((N-h)/2).
+
+    The slices are compared, and the means multiplied, over stacks of
+    cores that share a shape, not core by core.
+    """
+    h, fold = len(cores), np.ones((1, 1))
+    while h > 1:
+        lo = h - 1
+        while lo > 1 and cores[lo - 1].shape == cores[h - 1].shape:
+            lo -= 1
+        group = np.stack(cores[lo:h])  # (g, a, 2, b)
+        s0, s1 = group[:, :, 0], group[:, :, 1]
+        scale = np.abs(group).max(axis=(1, 2, 3))
+        same = np.abs(s0 - s1).max(axis=(1, 2)) <= PRODUCT_TOL * scale
+        differ = np.flatnonzero(~same)
+        run = lo + (differ[-1] + 1 if differ.size else 0)
+        if run < h:
+            fold = _chain_product((s0 + s1)[run - lo :] / 2) @ fold
+        if differ.size:
+            return run, fold
+        h = run
+    return h, fold
+
+
+def _chain_product(mats: np.ndarray) -> np.ndarray:
+    """``mats[0] @ mats[1] @ ...`` by batched pairwise products."""
+    while len(mats) > 1:
+        even = len(mats) // 2 * 2
+        mats = np.concatenate([mats[0:even:2] @ mats[1:even:2], mats[even:]])
+    return mats[0]
 
 
 def _mirror(cores) -> list[np.ndarray]:

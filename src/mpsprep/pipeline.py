@@ -60,7 +60,7 @@ FORMAT_VERSION = "1"
 
 
 def _sig12(x) -> str:
-    if isinstance(x, bool):
+    if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, float):
         return f"{x:.12g}"

@@ -13,8 +13,15 @@ from mpsprep import (
     tt_round,
     unfolding_spectra,
 )
-from mpsprep.linalg import _qr_signed, truncated_svd
-from mpsprep.mps import _env_step, _left_sweep, _local_target
+from mpsprep.linalg import PRODUCT_TOL, _qr_signed, truncated_svd
+from mpsprep.circuits import _right_canonical
+from mpsprep.mps import (
+    _compress_head,
+    _env_step,
+    _left_sweep,
+    _local_target,
+    _split_product_tail,
+)
 from mpsprep.functions import (
     DistributionSpec,
     assemble,
@@ -595,6 +602,86 @@ class TestMirroredPassesMatchReference:
                 f_want = abs(overlap(want, m)) / nrm
                 assert f_got == pytest.approx(f_want, abs=1e-12)
                 assert abs(overlap(got, want)) >= 1.0 - 1e-12
+
+
+def _with_product_tail(head, mats) -> Mps:
+    """The ``head`` cores followed by one core per matrix, both of its
+    slices equal to that matrix."""
+    return Mps(list(head) + [np.stack([a, a], axis=1) for a in mats])
+
+
+class TestProductTail:
+    """compress_als sets a trailing run of |+> cores aside."""
+
+    PLUS = np.full((1, 2, 1), np.sqrt(0.5))
+
+    def test_random_cores_have_no_tail(self, rng):
+        for n, chi in ((1, 1), (5, 3), (9, 4)):
+            m = random_mps(n, chi, rng)
+            h, fold = _split_product_tail(m.cores)
+            assert h == n and np.array_equal(fold, np.ones((1, 1)))
+            opts = CompressionOptions(target_chi=2)
+            got, want = compress_als(m, opts).cores, _compress_head(m, opts)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("n_head,t", [(2, 1), (6, 6), (8, 5), (5, 9)])
+    def test_equal_slices_become_plus_cores(self, rng, n_head, t):
+        bonds = [min(4, 2**i) for i in range(n_head + 1)]
+        head = [rng.standard_normal((bonds[i], 2, bonds[i + 1])) for i in range(n_head)]
+        mats = [rng.standard_normal((4, 4)) for _ in range(t - 1)]
+        m = _with_product_tail(head, mats + [rng.standard_normal((4, 1))])
+        assert _split_product_tail(m.cores)[0] == n_head
+        opts = CompressionOptions(target_chi=2)
+        c = compress_als(m, opts)
+        assert c.max_bond <= 2
+        assert all(np.array_equal(core, self.PLUS) for core in c.cores[-t:])
+        assert _right_canonical(c.cores)
+        v, w = m.to_statevector(), c.to_statevector()
+        dense = abs(v @ w) / np.linalg.norm(v)
+        assert abs(overlap(m, c)) / m.norm() == pytest.approx(dense, abs=1e-13)
+        # The tail costs nothing: the full-chain sweeps reach the same
+        # fidelity, and the result is no worse than its SVD start.
+        ref = _reference_compress_als(m, opts).to_statevector()
+        assert dense == pytest.approx(abs(v @ ref) / np.linalg.norm(v), abs=1e-12)
+        start = tt_round(m, 2).normalize().to_statevector()
+        assert dense >= abs(v @ start) / np.linalg.norm(v) - 1e-13
+
+    def test_degree_zero_head_is_support_bit(self):
+        spec = DistributionSpec("gaussian", mu=1.0, sigma=0.5, domain=(0.0, 2.0))
+        grid = Grid(10, *spec.domain)
+        for k in (1, 3, 5):
+            m = assemble(fit_piecewise(spec, grid, k, 0), grid)
+            assert _split_product_tail(m.cores)[0] == k
+            c = compress_als(m, CompressionOptions(target_chi=2))
+            assert all(np.array_equal(core, self.PLUS) for core in c.cores[k:])
+            assert abs(overlap(c, m)) / m.norm() >= 0.99
+
+    def test_product_at_every_site(self, rng):
+        mats = [rng.standard_normal((1, 2))] + [
+            rng.standard_normal((2, 2)) for _ in range(6)
+        ] + [rng.standard_normal((2, 1))]
+        m = _with_product_tail([], mats)
+        h, _ = _split_product_tail(m.cores)
+        assert h == 1
+        c = compress_als(m, CompressionOptions(target_chi=1))
+        assert c.bond_dims == (1,) * 9
+        assert abs(overlap(c, m)) / m.norm() == pytest.approx(1.0, abs=1e-13)
+        assert all(np.array_equal(core, self.PLUS) for core in c.cores[1:])
+
+    @pytest.mark.parametrize("scale", [1e-80, 1.0, 1e80])
+    def test_tolerance_is_relative_to_the_core(self, rng, scale):
+        head = [rng.standard_normal((1, 2, 2))]
+        a = rng.standard_normal((2, 1)) * scale
+        step = np.abs(a).max() * PRODUCT_TOL * np.array([[1.0], [0.0]])
+        for gap, h in ((0.5, 1), (2.0, 2)):
+            m = Mps(head + [np.stack([a, a + gap * step], axis=1)])
+            assert _split_product_tail(m.cores)[0] == h
+
+    def test_zero_tail_is_the_zero_state(self, rng):
+        head = random_mps(5, 2, rng)
+        zero = Mps(list(head.cores) + [np.zeros((1, 2, 1))] * 3)
+        with pytest.raises(ValueError, match="cannot compress the zero state"):
+            compress_als(zero, CompressionOptions(target_chi=1))
 
 
 class TestUnfoldingSpectra:

@@ -40,6 +40,13 @@ def test_benchmark_tracer_installs():
         "layers = tracer.layers()\n"
         "for name in ('pipeline.encode', 'simulate.build_pipeline', 'mps.compress_als'):\n"
         "    assert layers.get(name, {}).get('calls') == 1, (name, sorted(layers))\n"
+        # At N=64 compression sets a |+> tail aside; the head is still
+        # compressed by one compress_als call and one tt_round call.
+        "tracer.spans.clear()\n"
+        "mpsprep.encode(mpsprep.RunConfig(spec=spec, n_qubits=64))\n"
+        "layers = tracer.layers()\n"
+        "for name in ('mps.compress_als', 'mps.tt_round'):\n"
+        "    assert layers.get(name, {}).get('calls') == 1, (name, layers.get(name))\n"
     )
     paths = [str(ROOT / "src"), str(ROOT / "perfbench")]
     cmd = [sys.executable, "-c", code, *paths]

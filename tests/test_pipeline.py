@@ -25,6 +25,7 @@ from mpsprep import (
     target_amplitudes,
 )
 from mpsprep.cli import main
+from mpsprep.pipeline import _csv
 
 from conftest import misplaced_terminal_circuit
 
@@ -216,13 +217,16 @@ class TestEncode:
 
     def test_three_qr_passes(self, qr_calls):
         # tt_round's left-canonicalizing pass and the two half sweeps of
-        # one ALS sweep; no stage re-canonicalizes what the last one made.
+        # one ALS sweep over the 57-site head; no stage re-canonicalizes
+        # what the last one made. Sites 57.. move the region coordinate by
+        # less than a float resolves, so they are a |+> tail at any N and
+        # compression does not grow past the head.
         counts = []
-        for _ in range(2):
+        for n in (64, 64, 512, 1023):
             qr_calls.clear()
-            encode(gaussian_config(n=64))
+            encode(gaussian_config(n=n))
             counts.append(len(qr_calls))
-        assert counts == [3 * 63, 3 * 63]
+        assert counts == [3 * 56] * 4
 
     def test_rank1_target(self):
         cfg = gaussian_config(n=7, compression=CompressionOptions(target_chi=1))
@@ -331,6 +335,9 @@ class TestSweeps:
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 2
         assert len(lines[1].split(",")) == len(CSV_COLUMNS)
+
+    def test_numpy_bool_written_lowercase(self):
+        assert _csv(["a", "b"], [(np.bool_(True), np.bool_(False))]) == "a,b\ntrue,false\n"
 
     def test_csv_header_pinned(self):
         # the column order the README documents
