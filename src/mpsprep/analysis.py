@@ -20,6 +20,7 @@ import numpy as np
 
 from .functions import DistributionSpec, Grid, pdf, pdf_derivative
 from .linalg import RANK_FLOOR, _as_int
+from .mps import _check_dense
 
 __all__ = [
     "DecayFit",
@@ -131,6 +132,7 @@ def max_derivative(spec: DistributionSpec, n_qubits: int) -> float:
 
     Custom densities fall back to central differences at grid resolution.
     """
+    _check_dense(n_qubits, "max_derivative")
     grid = Grid.for_spec(spec, n_qubits)
     xs = grid.points()
     if spec.kind == "custom":

@@ -241,19 +241,6 @@ class PiecewisePoly:
             if len(coeffs) != self.degree + 1:
                 raise ValueError("every region needs degree+1 coefficients")
 
-    def values(self, grid: Grid) -> np.ndarray:
-        """Evaluate the piecewise polynomial at every grid point."""
-        _check_dense(grid.n_qubits, "PiecewisePoly.values")
-        block = _block(grid.n_qubits, self.support_bit)
-        us = np.arange(block) / (block - 1)
-        coeffs = np.array(self.regions, dtype=float).T[:, :, None]
-        # Horner's rule in place on one (regions, block) array.
-        out = coeffs[-1] + us * 0
-        for c in coeffs[-2::-1]:
-            out *= us
-            out += c
-        return out.reshape(-1)
-
 
 def fit_piecewise(
     spec: DistributionSpec,
@@ -332,9 +319,9 @@ def assemble(pp: PiecewisePoly, grid: Grid) -> Mps:
     emits each region's coefficients; sites k..N-1 carry the monomial
     basis of the region coordinate u through shared binomial-transfer
     cores of bond degree+1. Bit s of site j adds s * 2^(N-1-j) / (block-1)
-    to u, where block = 2^(N-k). The result evaluates to
-    :meth:`PiecewisePoly.values` at every grid point. It is not
-    normalized; normalization happens once, before gate extraction.
+    to u, where block = 2^(N-k). The result is the fit itself, read by the
+    verify stage for the fit error. It is not normalized; normalization
+    happens once, before gate extraction.
     """
     k, n, width = pp.support_bit, grid.n_qubits, pp.degree + 1
     block = _block(n, k)

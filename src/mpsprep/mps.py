@@ -157,12 +157,7 @@ class Mps:
     def to_statevector(self) -> np.ndarray:
         """Dense big-endian 2^N vector of all amplitudes."""
         _check_dense(self.n_sites, "to_statevector")
-        psi = self.cores[0].reshape(2, -1)
-        for core in self.cores[1:]:
-            right = core.shape[2]
-            psi = psi.reshape(-1, core.shape[0]) @ core.reshape(core.shape[0], -1)
-            psi = psi.reshape(-1, right)
-        return psi.reshape(-1)
+        return _contract(self.cores).reshape(-1)
 
     def norm(self) -> float:
         return float(np.sqrt(max(overlap(self, self), 0.0)))
@@ -362,6 +357,22 @@ def _chain_product(mats: np.ndarray) -> np.ndarray:
         even = len(mats) // 2 * 2
         mats = np.concatenate([mats[0:even:2] @ mats[1:even:2], mats[even:]])
     return mats[0]
+
+
+def _contract(cores) -> np.ndarray:
+    """Cores contracted in order into one (left bond * 2^len, right bond) matrix."""
+    psi = cores[0]
+    for core in cores[1:]:
+        psi = psi.reshape(-1, len(core)) @ core.reshape(len(core), -1)
+    return psi.reshape(-1, cores[-1].shape[2])
+
+
+def _halves(m: Mps, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(head, tail)``, (2^h, bond) and (bond, 2^(N-h)) for 0 <= h <= N:
+    the chain contracted on either side of bond h, so the state is head @ tail."""
+    head = _contract(m.cores[:h]) if h > 0 else np.ones((1, 1))
+    tail = _contract(m.cores[h:]) if h < m.n_sites else np.ones((1, 1))
+    return head, tail.reshape(head.shape[1], -1)
 
 
 def _mirror(cores) -> list[np.ndarray]:

@@ -17,11 +17,11 @@ as its output.
 Error accounting takes one run of the construction (fit, assemble,
 compress, extract) and attributes its final infidelity to the three
 sources by successive overlap drops; shares are each drop divided by
-the total infidelity. The fit is compared with the dense exact target.
-The total contracts that target with the circuit split at its middle
-qubit: the same simulator runs the gates above and below the cut, so no
-2^N circuit state is built. Compression and gate drops are exact MPS
-overlaps, with no 2^N vector.
+the total infidelity. The fit and the total read the exact target
+against two halves cut at the middle qubit: the assembled MPS contracted
+on either side, and the simulator run on the gates above and below. So
+the target is the only 2^N vector. Compression and gate drops are MPS
+overlaps.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .functions import (
     target_amplitudes,
 )
 from .linalg import _int_field
-from .mps import CompressionOptions, Mps, _check_dense, compress_als, overlap
+from .mps import CompressionOptions, Mps, _check_dense, _halves, compress_als, overlap
 
 __all__ = [
     "run",
@@ -95,13 +95,12 @@ def _gather(psi: np.ndarray, held: list[int], order) -> np.ndarray:
     return np.transpose(psi, [(held + idle).index(q) for q in order])
 
 
-def _split_overlap(target: np.ndarray, c: Circuit) -> float:
-    # <target|circuit state> with no 2^N circuit state, cut at qubit
-    # h = N // 2. The first h gates must act on qubits 0..h and the rest
-    # on h..N-1, as in a staircase. head[x, c] holds qubits 0..h-1 = x,
-    # qubit h = c; the tail runs on both basis states c of qubit h at
-    # once, on an identity whose axis -1 no gate touches, and tail[c, y]
-    # holds qubits h..N-1 = y. The state is head @ tail.
+def _circuit_halves(c: Circuit) -> tuple[np.ndarray, np.ndarray]:
+    # (head, tail) of the circuit state cut at qubit h = N // 2, whose first
+    # h gates must act on qubits 0..h and the rest on h..N-1. head[x, c]
+    # holds qubits 0..h-1 = x, qubit h = c; the tail runs on both basis
+    # states c of qubit h at once, on an identity whose axis -1 no gate
+    # touches, and tail[c, y] holds qubits h..N-1 = y: the state is head @ tail.
     n = c.n_qubits
     h = n // 2
     for i, gate in enumerate(c.gates):
@@ -112,10 +111,13 @@ def _split_overlap(target: np.ndarray, c: Circuit) -> float:
                 f"{gate.qubits}, outside qubits {lo}..{hi}"
             )
     head = _gather(*_apply(np.ones(()), [], c.gates[:h]), range(h + 1))
-    head = head.reshape(2**h, 2)
     tail = _gather(*_apply(np.eye(2), [-1, h], c.gates[h:]), [-1, *range(h, n)])
-    tail = tail.reshape(2, 2 ** (n - h))
-    return float(np.sum(head * (target.reshape(2**h, -1) @ tail.T)))
+    return head.reshape(2**h, 2), tail.reshape(2, 2 ** (n - h))
+
+
+def _cut_overlap(target: np.ndarray, head: np.ndarray, tail: np.ndarray) -> float:
+    # <target|head @ tail>, never forming head @ tail.
+    return float(np.sum(head * (target.reshape(len(head), -1) @ tail.T)))
 
 
 def _join_zero(psi: np.ndarray, count: int) -> np.ndarray:
@@ -224,16 +226,14 @@ def build_pipeline(
 class ErrorDecomposition:
     """Infidelity split by construction stage.
 
-    ``pp_error`` is 1 - F(exact target, normalized piecewise values),
-    two dense vectors. ``total`` is 1 - F(exact target, circuit output), with
-    the circuit contracted in two halves split at its middle qubit and
-    no 2^N circuit state.
+    ``pp_error`` = 1 - |<exact target|assembled>| / ||assembled||, the fit
+    as the MPS encodes it, and ``total`` = 1 - |<exact target|circuit
+    state>|, each read off two halves split at the middle qubit.
     ``mps_error`` = 1 - |<assembled|compressed>| / ||assembled|| and
-    ``gate_error`` = 1 - |<compressed|circuit state>| are exact MPS
-    overlaps. Each share is one drop divided by the total infidelity
-    (zero when the pipeline is lossless). The drops start from
-    different baselines, so the shares need not sum to 1 when the
-    infidelity is large.
+    ``gate_error`` = 1 - |<compressed|circuit state>| are MPS overlaps.
+    Each share is one drop divided by the total infidelity (zero when the
+    pipeline is lossless). The drops start from different baselines, so
+    the shares need not sum to 1 when the infidelity is large.
     """
 
     pp_error: float
@@ -261,17 +261,16 @@ def _gate_fidelity(result: PipelineResult) -> float:
 def error_decomposition(result: PipelineResult) -> ErrorDecomposition:
     """Attribute a run's end-to-end infidelity to fit, compression, and gates.
 
-    The total is the circuit's overlap with the exact target, contracted
-    gate by gate in two halves split at the middle qubit, so the only
-    2^N vectors are the target and, before it, the fit.
+    The fit and the circuit are each cut at qubit N // 2 and contracted
+    there with the exact target, the one 2^N vector.
     """
     exact = target_amplitudes(result.spec, result.grid.n_qubits)
-    pp_values = result.piecewise.values(result.grid)
-    pp_values /= np.linalg.norm(pp_values)
-    f_pp = fidelity(exact, pp_values)
-    del pp_values
-    f_total = min(abs(_split_overlap(exact, result.circuit)), 1.0)
     a = result.assembled
+    head, tail = _halves(a, a.n_sites // 2)
+    # ||a|| from the halves: overlap(a, a) loses digits at high degree.
+    a_norm = float(np.sqrt(np.sum((head.T @ head) * (tail @ tail.T))))
+    f_pp = min(abs(_cut_overlap(exact, head, tail)) / a_norm, 1.0)
+    f_total = min(abs(_cut_overlap(exact, *_circuit_halves(result.circuit))), 1.0)
     f_compress = min(abs(overlap(a, result.compressed)) / a.norm(), 1.0)
     return ErrorDecomposition(
         pp_error=1.0 - f_pp,

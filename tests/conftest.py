@@ -17,6 +17,15 @@ def random_mps(n, chi, rng, scaled=False):
     return Mps(cores)
 
 
+def polyval_values(pp, grid):
+    """A piecewise polynomial at every grid point, by np.polynomial's polyval:
+    the reference evaluation of a fit, independent of its MPS encoding."""
+    block = 2 ** (grid.n_qubits - pp.support_bit)
+    us = np.arange(block) / (block - 1)
+    coeffs = np.array(pp.regions, dtype=float).T
+    return np.polynomial.polynomial.polyval(us, coeffs).reshape(-1)
+
+
 def misplaced_terminal_circuit():
     """The 3-qubit staircase except that the last gate sits on qubit 0, not 2."""
     pair, single = np.eye(4), np.eye(2)

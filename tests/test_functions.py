@@ -16,6 +16,8 @@ from mpsprep import (
     target_amplitudes,
 )
 
+from conftest import polyval_values
+
 
 class TestGrid:
     def test_endpoints(self):
@@ -272,7 +274,7 @@ class TestFitPiecewise:
         spec = DistributionSpec("gaussian", mu=1.0, sigma=1.0, domain=(0.0, 2.0))
         grid = Grid(10, 0.0, 2.0)
         pp = fit_piecewise(spec, grid, 3, 3)
-        got = pp.values(grid)
+        got = polyval_values(pp, grid)
         want = np.sqrt(pdf(spec, grid.points()))
         # the fit divides by its largest sample; region ends are fit samples
         # and the grid points nearest the peak at mu=1 are region ends
@@ -287,7 +289,7 @@ class TestFitPiecewise:
         residuals = []
         for p in range(2, 6):
             pp = fit_piecewise(spec, grid, 3, p)
-            residuals.append(np.linalg.norm(pp.values(grid) - want))
+            residuals.append(np.linalg.norm(polyval_values(pp, grid) - want))
         assert all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))
 
     def test_too_few_samples(self):
@@ -370,7 +372,7 @@ class TestMaskRegion:
                 for x_start in g.points()[::block]
             )
             pp = PiecewisePoly(support_bit=k, degree=3, regions=regions)
-            assert np.max(np.abs(pp.values(g) - want)) <= 1e-12
+            assert np.max(np.abs(polyval_values(pp, g) - want)) <= 1e-12
             assert np.max(np.abs(assemble(pp, g).to_statevector() - want)) <= 1e-12
 
     @given(
@@ -388,7 +390,7 @@ class TestMaskRegion:
         )
         idx = data.draw(st.integers(min_value=0, max_value=2**n - 1))
         prefix = idx >> (n - k)
-        assert pp.values(grid)[idx] == prefix
+        assert polyval_values(pp, grid)[idx] == prefix
         bits = format(idx, f"0{n}b")
         assert assemble(pp, grid).amplitude(bits) == pytest.approx(prefix, abs=1e-12)
 
@@ -417,23 +419,6 @@ FAMILIES = [
 
 class TestPiecewiseValues:
     @staticmethod
-    def _polyval_values(pp, grid):
-        # The numpy polyval evaluation that `values` replaced, kept as the reference.
-        block = 2 ** (grid.n_qubits - pp.support_bit)
-        us = np.arange(block) / (block - 1)
-        coeffs = np.array(pp.regions, dtype=float).T
-        return np.polynomial.polynomial.polyval(us, coeffs).reshape(-1)
-
-    @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.kind)
-    def test_matches_polyval_bit_for_bit(self, spec):
-        for n in (4, 9, 16):
-            g = Grid.for_spec(spec, n)
-            for k in (0, 1, 3):
-                for p in (0, 1, 3, 5):
-                    pp = fit_piecewise(spec, g, k, p)
-                    assert np.array_equal(pp.values(g), self._polyval_values(pp, g))
-
-    @staticmethod
     def _per_region_fit_values(spec, grid, k, p, samples=64):
         # One np.polynomial.Polynomial.fit per region in u, on the samples
         # divided by the largest one: the reference for the batched solve.
@@ -456,15 +441,9 @@ class TestPiecewiseValues:
             g = Grid.for_spec(spec, n)
             for k in (0, 1, 3):
                 for p in (0, 1, 3, 5):
-                    got = fit_piecewise(spec, g, k, p).values(g)
+                    got = polyval_values(fit_piecewise(spec, g, k, p), g)
                     want = self._per_region_fit_values(spec, g, k, p)
                     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-    def test_dense_limit(self, monkeypatch):
-        monkeypatch.setenv("MPSPREP_DENSE_LIMIT", "4")
-        pp = PiecewisePoly(support_bit=1, degree=1, regions=((1.0, 0.5), (2.0, -0.5)))
-        with pytest.raises(ValueError, match="PiecewisePoly.values .*limit"):
-            pp.values(Grid(10, 0.0, 2.0))
 
 
 class TestAssemble:
@@ -488,15 +467,15 @@ class TestAssemble:
         pp = fit_piecewise(spec, g, 3, 3)
         m = assemble(pp, g)
         assert m.bond_dims == (1, 2, 4) + (4,) * 7 + (1,)
-        assert np.max(np.abs(m.to_statevector() - pp.values(g))) <= 1e-10
+        assert np.max(np.abs(m.to_statevector() - polyval_values(pp, g))) <= 1e-10
 
     @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.kind)
-    def test_matches_values_all_families(self, spec):
+    def test_matches_polyval_all_families(self, spec):
         for n in (4, 9, 16):
             g = Grid.for_spec(spec, n)
             for k in (0, 1, 3):
                 pp = fit_piecewise(spec, g, k, 3)
-                want = pp.values(g)
+                want = polyval_values(pp, g)
                 got = assemble(pp, g).to_statevector()
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 

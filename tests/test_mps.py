@@ -18,6 +18,7 @@ from mpsprep.circuits import _right_canonical
 from mpsprep.mps import (
     _compress_head,
     _env_step,
+    _halves,
     _left_sweep,
     _local_target,
     _split_product_tail,
@@ -139,6 +140,42 @@ class TestStatevector:
         m = ones_product_state(4)
         with pytest.raises(ValueError, match="limit"):
             m.to_statevector()
+
+
+def _reference_to_statevector(m):
+    # The loop `to_statevector` ran before the cut shared it, kept as the reference.
+    psi = m.cores[0].reshape(2, -1)
+    for core in m.cores[1:]:
+        right = core.shape[2]
+        psi = psi.reshape(-1, core.shape[0]) @ core.reshape(core.shape[0], -1)
+        psi = psi.reshape(-1, right)
+    return psi.reshape(-1)
+
+
+class TestHalves:
+    SPEC = DistributionSpec("lorentzian", mu=1.0, sigma=0.2, domain=(0.0, 2.0))
+
+    def _states(self, n, rng):
+        grid = Grid.for_spec(self.SPEC, n)
+        pp = fit_piecewise(self.SPEC, grid, min(3, n - 1), 3)
+        return [random_mps(n, 4, rng).normalize(), assemble(pp, grid)]
+
+    def test_head_times_tail_is_the_state(self, rng):
+        for n in range(1, 17):
+            for m in self._states(n, rng):
+                v = m.to_statevector()
+                for h in range(n + 1):
+                    head, tail = _halves(m, h)
+                    bond = m.bond_dims[h]
+                    assert head.shape == (2**h, bond)
+                    assert tail.shape == (bond, 2 ** (n - h))
+                    err = np.max(np.abs((head @ tail).reshape(-1) - v))
+                    assert err <= 1e-14 * np.max(np.abs(v)), (n, h)
+
+    def test_statevector_bit_identical_to_reference_loop(self, rng):
+        for n in range(1, 15):
+            for m in self._states(n, rng) + [random_mps(n, 3, rng, scaled=True)]:
+                assert np.array_equal(m.to_statevector(), _reference_to_statevector(m))
 
 
 class TestToMpsExact:

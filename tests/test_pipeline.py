@@ -6,6 +6,7 @@ import pytest
 
 from mpsprep import (
     CSV_COLUMNS,
+    Circuit,
     CompressionOptions,
     DistributionSpec,
     RunConfig,
@@ -15,6 +16,7 @@ from mpsprep import (
     encode,
     error_decomposition,
     fidelity,
+    max_derivative,
     oracle_compare,
     render_csv,
     run,
@@ -23,6 +25,7 @@ from mpsprep import (
     sweep_degree,
     sweep_sigma,
     target_amplitudes,
+    to_mps_exact,
 )
 from mpsprep.cli import main
 from mpsprep.pipeline import _csv
@@ -234,6 +237,27 @@ class TestEncode:
         assert report.result.compressed.max_bond == 1
         assert len(circuit.gates) == 7
         assert 0.9 < report.fidelity <= 1.0
+
+
+_GAUSS = DistributionSpec("gaussian", mu=1.0, sigma=1.0, domain=(0.0, 2.0))
+_DENSE_ENTRY_POINTS = {
+    "target_amplitudes": lambda: target_amplitudes(_GAUSS, 10),
+    "Mps.to_statevector": lambda: build_pipeline(_GAUSS, 10).assembled.to_statevector(),
+    "run": lambda: run(Circuit(n_qubits=10, gates=())),
+    "to_mps_exact": lambda: to_mps_exact(np.ones(2**10)),
+    "spectra": lambda: spectra(_GAUSS, 10, [1.0]),
+    "error_decomposition": lambda: error_decomposition(build_pipeline(_GAUSS, 10)),
+    "max_derivative": lambda: max_derivative(_GAUSS, 10),
+    "oracle_compare": lambda: oracle_compare(gaussian_config(n=10)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DENSE_ENTRY_POINTS))
+def test_dense_entry_point_refuses_above_limit(name, monkeypatch):
+    # Every public path that makes a 2^N vector checks MPSPREP_DENSE_LIMIT first.
+    monkeypatch.setenv("MPSPREP_DENSE_LIMIT", "4")
+    with pytest.raises(ValueError, match="limit of 4 qubits"):
+        _DENSE_ENTRY_POINTS[name]()
 
 
 class TestErrorDecompositionReference:

@@ -14,9 +14,9 @@ from mpsprep import (
     run,
     target_amplitudes,
 )
-from mpsprep.simulate import _split_overlap
+from mpsprep.simulate import _circuit_halves, _cut_overlap
 
-from conftest import random_mps
+from conftest import polyval_values, random_mps
 
 
 def hadamard_like():
@@ -126,6 +126,35 @@ class TestErrorDecomposition:
         assert 1 - dec.total >= product - 1e-6
 
 
+class TestFitErrorMatchesPolyval:
+    DOMAINS = {
+        "gaussian": (0.0, 2.0), "lorentzian": (0.0, 2.0), "lognormal": (0.0, 5.0)
+    }
+
+    @staticmethod
+    def _check(spec, n, p):
+        # pp_error comes from the assembled MPS; the reference evaluates the
+        # fit's polynomials directly on the grid.
+        res = build_pipeline(spec, n, degree=p)
+        v = polyval_values(res.piecewise, res.grid)
+        want = 1.0 - abs(target_amplitudes(spec, n) @ v) / np.linalg.norm(v)
+        assert abs(error_decomposition(res).pp_error - want) <= 1e-13, (n, p)
+
+    @pytest.mark.parametrize("kind", sorted(DOMAINS))
+    def test_pp_error_matches_polyval_fit(self, kind):
+        spec = DistributionSpec(kind, mu=1.0, sigma=0.44, domain=self.DOMAINS[kind])
+        for n in (5, 10, 16):
+            for p in (3, 5):
+                self._check(spec, n, p)
+
+    def test_degree_20(self):
+        # At p=20 the monomial cores carry large entries, and overlap(a, a)
+        # puts ||a|| off by 3.2e-6 relative; the norm from the two halves
+        # keeps pp_error at the reference's 0.
+        spec = DistributionSpec("lorentzian", mu=1.0, sigma=0.1, domain=(0.0, 2.0))
+        self._check(spec, 16, 20)
+
+
 class TestSplitOverlap:
     def test_matches_dense_overlap(self, rng):
         # N = 1 and 2 cut at h = 0 and h = 1: an empty head, then one gate.
@@ -138,7 +167,7 @@ class TestSplitOverlap:
             noise = rng.standard_normal(2**n)
             for target in (target_amplitudes(spec, n), noise / np.linalg.norm(noise)):
                 for circ in circuits:
-                    got = _split_overlap(target, circ)
+                    got = _cut_overlap(target, *_circuit_halves(circ))
                     assert abs(got - target @ run(circ)) <= 1e-14
 
     @pytest.mark.parametrize(
@@ -153,24 +182,33 @@ class TestSplitOverlap:
             n_qubits=4,
             gates=tuple(Gate(q, _random_orthogonal(rng, 2 ** len(q))) for q in qubits),
         )
-        target = np.eye(16)[0]
         with pytest.raises(ValueError, match=rf"split at qubit h=2: gate {gate} "):
-            _split_overlap(target, circ)
+            _circuit_halves(circ)
 
     def test_no_dense_circuit_state(self):
-        # Only the target and, before it, the fit are 2^N vectors: the
-        # traced peak stays near two of them, not the three or more that a
-        # dense circuit state alongside the target would take.
+        # Only the target is a 2^N vector: the traced peak stays well below
+        # the three or more that a dense circuit state alongside the target
+        # would take.
         n = 18
-        spec = DistributionSpec("gaussian", mu=1.0, sigma=0.44, domain=(0.0, 2.0))
-        res = build_pipeline(spec, n)
-        tracemalloc.start()
-        try:
-            error_decomposition(res)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * 8 * 2**n
+        assert _traced_peak(n) <= 2.5 * 8 * 2**n
+
+    def test_target_is_the_only_dense_vector(self):
+        # The fit is read off the assembled MPS's two halves, so no second
+        # 2^N vector sits next to the target.
+        n = 22
+        assert _traced_peak(n) <= 1.25 * 8 * 2**n
+
+
+def _traced_peak(n):
+    # tracemalloc peak of error_decomposition for a Gaussian at N = n.
+    spec = DistributionSpec("gaussian", mu=1.0, sigma=0.44, domain=(0.0, 2.0))
+    res = build_pipeline(spec, n)
+    tracemalloc.start()
+    try:
+        error_decomposition(res)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _tensordot_run(c):
