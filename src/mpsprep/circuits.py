@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _as_real
+from .linalg import _as_int, _as_real, _int_field
 from .mps import Mps
 
 __all__ = [
@@ -50,7 +50,7 @@ class Gate:
             )
         if not np.isfinite(mat).all():
             raise ValueError("gate matrix contains non-finite entries")
-        qubits = tuple(int(q) for q in self.qubits)
+        qubits = tuple(_as_int(q, "qubits") for q in self.qubits)
         if len(qubits) == 2 and qubits[0] == qubits[1]:
             raise ValueError(
                 f"gate qubits must be distinct; qubit {qubits[0]} is repeated"
@@ -71,6 +71,9 @@ class Circuit:
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
+        _int_field(self, "n_qubits")
+        if self.n_qubits < 1:
+            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
         object.__setattr__(self, "gates", tuple(self.gates))
         for gate in self.gates:
             for q in gate.qubits:

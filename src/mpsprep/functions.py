@@ -5,13 +5,13 @@ the amplitude to prepare is the square root of that density sampled on a
 uniform 2^N-point grid and normalized. The grid is split into 2^k
 regions addressed by the leading k bits, and each region gets an
 independent least-squares polynomial fit of the amplitude, divided by
-its largest fit sample, in the region coordinate u = (x - x_start) / span
-in [0, 1], so neither the domain's position nor its scale reaches the
-coefficients. No other module knows this coordinate.
+its largest fit sample, in the region coordinate v = 2 (x - x_start) /
+span - 1 in [-1, 1], so neither the domain's position nor its scale
+reaches the coefficients. No other module knows this coordinate.
 
 The piecewise polynomial is encoded as one MPS directly: the first k
 sites route the region's bit prefix to that region's coefficients, and
-the remaining sites are binomial-transfer cores that expand powers of u
+the remaining sites are binomial-transfer cores that expand powers of v
 bit by bit. The transfer cores are shared by all regions, so every bond
 past cut k is at most degree+1, the TT rank of a degree-p polynomial.
 """
@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import _as_real, _real_field
+from .linalg import _as_int, _as_real, _int_field, _real_field
 from .mps import Mps, _check_dense
 
 __all__ = [
@@ -101,6 +101,9 @@ class Grid:
     b: float
 
     def __post_init__(self):
+        _int_field(self, "n_qubits")
+        _real_field(self, "a")
+        _real_field(self, "b")
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be >= 1")
         if not (self.a < self.b):
@@ -135,6 +138,7 @@ class Grid:
         return self.width / self.n_intervals
 
     def points(self) -> np.ndarray:
+        _check_dense(self.n_qubits, "Grid.points")
         return np.linspace(self.a, self.b, self.size)
 
 
@@ -213,6 +217,7 @@ def target_amplitudes(spec: DistributionSpec, n_qubits: int) -> np.ndarray:
 
 def _block(n_qubits: int, support_bit: int) -> int:
     """Grid points per region, 2^(N-k), for a valid support bit k."""
+    support_bit = _as_int(support_bit, "support_bit")
     if not 0 <= support_bit < n_qubits:
         raise ValueError(f"support_bit must be in [0, {n_qubits}), got {support_bit}")
     return 2 ** (n_qubits - support_bit)
@@ -223,9 +228,9 @@ class PiecewisePoly:
     """Independent degree-p fits of the amplitude, one per bit-prefix region.
 
     Coefficients are lowest-degree first in the region coordinate
-    u = (x - x_start) / span, span being the region's first-to-last grid
-    distance: u runs over 0, 1/(block-1), ..., 1 in every region. No
-    continuity is enforced at region boundaries.
+    v = 2 (x - x_start) / span - 1, span being the region's first-to-last
+    grid distance: v runs over -1, -1 + 2/(block-1), ..., 1 in every
+    region. No continuity is enforced at region boundaries.
     """
 
     support_bit: int
@@ -233,6 +238,10 @@ class PiecewisePoly:
     regions: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
+        for name in ("support_bit", "degree"):
+            _int_field(self, name)
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if len(self.regions) != 2**self.support_bit:
             raise ValueError(
                 f"expected {2**self.support_bit} regions, got {len(self.regions)}"
@@ -254,11 +263,14 @@ def fit_piecewise(
     Every region is sampled at the same ``samples_per_region`` values of
     u = linspace(0, 1), i.e. at x = x_start + u * span, and the samples
     are divided by the largest one. All regions are then fit in one
-    least-squares solve with a Legendre design matrix in v = 2u - 1, one
-    right-hand side per region, and the result is mapped to powers of u.
-    Regions are fit independently and may be discontinuous at the seams.
+    least-squares solve for the powers of v = 2u - 1, one right-hand side
+    per region. Regions are fit independently and may be discontinuous at
+    the seams.
     """
-    if samples_per_region < degree + 1:
+    degree = _as_int(degree, "degree")
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
+    if _as_int(samples_per_region, "samples_per_region") < degree + 1:
         raise ValueError(
             f"need at least degree+1={degree + 1} samples per region, "
             f"got {samples_per_region}"
@@ -273,15 +285,8 @@ def fit_piecewise(
     peak = ys.max()
     if peak == 0.0:
         raise ValueError("density vanishes on every fit sample")
-    design = np.polynomial.legendre.legvander(2.0 * us - 1.0, degree)
-    legendre = np.linalg.lstsq(design, (ys / peak).T, rcond=None)[0]
-    # to_powers[e, n]: coefficient of u^e in the Legendre polynomial P_n(2u - 1)
-    d = range(degree + 1)
-    to_powers = np.array(
-        [[(-1) ** (n + e) * math.comb(n, e) * math.comb(n + e, e) for n in d] for e in d],
-        dtype=float,
-    )
-    coeffs = to_powers @ legendre
+    design = np.polynomial.polynomial.polyvander(2.0 * us - 1.0, degree)
+    coeffs = np.linalg.lstsq(design, (ys / peak).T, rcond=None)[0]
     return PiecewisePoly(support_bit, degree, tuple(map(tuple, coeffs.T)))
 
 
@@ -301,14 +306,15 @@ def _binomial_shift(tau, degree: int) -> np.ndarray:
 def poly_mps(coeffs, grid: Grid) -> Mps:
     """Encode a polynomial of the grid coordinate x as an MPS, exactly.
 
-    ``coeffs`` are lowest-degree first in x. They are re-expanded about
-    the domain start (x = grid.a + width * u) and encoded as a one-region
-    :func:`assemble`, so the bond dimension is at most degree+1.
+    ``coeffs`` are lowest-degree first in x. They are re-expanded about the
+    domain midpoint, x = a + width / 2 * (1 + v), and encoded as one region
+    by :func:`assemble`, so the bond dimension is at most degree+1.
     """
     a = np.asarray(coeffs, dtype=float).reshape(-1)
     if a.size == 0:
         raise ValueError("need at least one coefficient")
-    local = a @ _binomial_shift(grid.a, a.size - 1) * grid.width ** np.arange(a.size)
+    half = grid.width / 2  # the midpoint as a + half: a + b may overflow
+    local = a @ _binomial_shift(grid.a + half, a.size - 1) * half ** np.arange(a.size)
     return assemble(PiecewisePoly(0, a.size - 1, (tuple(local),)), grid)
 
 
@@ -317,19 +323,23 @@ def assemble(pp: PiecewisePoly, grid: Grid) -> Mps:
 
     Sites 0..k-2 route the region's bit prefix (bond 2^(j+1)); site k-1
     emits each region's coefficients; sites k..N-1 carry the monomial
-    basis of the region coordinate u through shared binomial-transfer
-    cores of bond degree+1. Bit s of site j adds s * 2^(N-1-j) / (block-1)
-    to u, where block = 2^(N-k). The result is the fit itself, read by the
-    verify stage for the fit error. It is not normalized; normalization
-    happens once, before gate extraction.
+    basis of the region coordinate v through shared binomial-transfer
+    cores of bond degree+1. Bit s of site j moves v by (2s - 1) * tau_j,
+    tau_j = 2^(N-1-j) / (block-1) with block = 2^(N-k); the tau_j sum to 1,
+    so v spans [-1, 1] and the fit's coefficients enter unchanged. The
+    result is the fit itself, read by the verify stage for the fit error.
+    It is not normalized; normalization happens once, before gate
+    extraction.
     """
     k, n, width = pp.support_bit, grid.n_qubits, pp.degree + 1
     block = _block(n, k)
     coeffs = np.array(pp.regions, dtype=float)
     taus = 2.0 ** np.arange(n - 1 - k, -1, -1) / (block - 1)
-    tail = np.empty((n - k, width, 2, width))
-    tail[:, :, 0, :] = np.eye(width)
-    tail[:, :, 1, :] = _binomial_shift(taus, pp.degree)
+    shift = _binomial_shift(taus, pp.degree)
+    # The shift by -tau flips the odd powers of tau: exact, and it spares
+    # numpy's pow its slow path for negative bases.
+    odd = np.subtract.outer(np.arange(width), np.arange(width)) % 2 == 1
+    tail = np.stack([np.where(odd, -shift, shift), shift], axis=2)
 
     cores = [np.eye(2 ** (j + 1)).reshape(2**j, 2, 2 ** (j + 1)) for j in range(k - 1)]
     if k:

@@ -36,7 +36,7 @@ RANK_FLOOR = 1e-13
 # their mean moves each slice by at most half of it, relative. Over
 # a trailing run of up to 1023 such sites the errors add to ~1e-13, below
 # RANK_FLOOR, so no cut sees them. An assembled state at k=3, p=3
-# reaches this from site 57 on, where one bit moves the region
+# reaches this from site 58 on, where one bit moves the region
 # coordinate by less than a float can resolve.
 PRODUCT_TOL = 1e-16
 

@@ -275,6 +275,9 @@ def compress_als(m: Mps, opts: CompressionOptions) -> Mps:
     exact |+> cores. The overlap with a fixed unit product factorizes, so
     the best approximation of head (x) |+>^t is the best one of the head
     with |+>^t appended. Without such a run the head is the whole chain.
+    An assembled state at k=3, p=3 has a 58-site head for every N >= 59,
+    so a run whose first sweep converges makes 3 * 57 QR factorizations,
+    the start's pass included.
 
     Sweeps maximize the overlap with the input, taken in any gauge and
     unnormalized: the cached boundary environments are linear in it and

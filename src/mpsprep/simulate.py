@@ -231,6 +231,7 @@ class ErrorDecomposition:
     state>|, each read off two halves split at the middle qubit.
     ``mps_error`` = 1 - |<assembled|compressed>| / ||assembled|| and
     ``gate_error`` = 1 - |<compressed|circuit state>| are MPS overlaps.
+    ||assembled|| is :meth:`Mps.norm`, taken once for both.
     Each share is one drop divided by the total infidelity (zero when the
     pipeline is lossless). The drops start from different baselines, so
     the shares need not sum to 1 when the infidelity is large.
@@ -266,12 +267,10 @@ def error_decomposition(result: PipelineResult) -> ErrorDecomposition:
     """
     exact = target_amplitudes(result.spec, result.grid.n_qubits)
     a = result.assembled
-    head, tail = _halves(a, a.n_sites // 2)
-    # ||a|| from the halves: overlap(a, a) loses digits at high degree.
-    a_norm = float(np.sqrt(np.sum((head.T @ head) * (tail @ tail.T))))
-    f_pp = min(abs(_cut_overlap(exact, head, tail)) / a_norm, 1.0)
+    a_norm = a.norm()
+    f_pp = min(abs(_cut_overlap(exact, *_halves(a, a.n_sites // 2))) / a_norm, 1.0)
     f_total = min(abs(_cut_overlap(exact, *_circuit_halves(result.circuit))), 1.0)
-    f_compress = min(abs(overlap(a, result.compressed)) / a.norm(), 1.0)
+    f_compress = min(abs(overlap(a, result.compressed)) / a_norm, 1.0)
     return ErrorDecomposition(
         pp_error=1.0 - f_pp,
         mps_error=1.0 - f_compress,

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
-from mpsprep import Circuit, Gate, Mps
+from mpsprep import Circuit, DistributionSpec, Gate, Mps
 from mpsprep.linalg import _qr_signed
+
+# A target whose fit at high degree needs every digit: the one the p=20
+# checks of the fit, the assembled state and its norm run on.
+NARROW_LORENTZIAN = DistributionSpec("lorentzian", mu=1.0, sigma=0.1, domain=(0.0, 2.0))
 
 
 def random_mps(n, chi, rng, scaled=False):
@@ -21,9 +25,9 @@ def polyval_values(pp, grid):
     """A piecewise polynomial at every grid point, by np.polynomial's polyval:
     the reference evaluation of a fit, independent of its MPS encoding."""
     block = 2 ** (grid.n_qubits - pp.support_bit)
-    us = np.arange(block) / (block - 1)
+    vs = 2 * np.arange(block) / (block - 1) - 1
     coeffs = np.array(pp.regions, dtype=float).T
-    return np.polynomial.polynomial.polyval(us, coeffs).reshape(-1)
+    return np.polynomial.polynomial.polyval(vs, coeffs).reshape(-1)
 
 
 def misplaced_terminal_circuit():

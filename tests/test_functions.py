@@ -16,7 +16,7 @@ from mpsprep import (
     target_amplitudes,
 )
 
-from conftest import polyval_values
+from conftest import NARROW_LORENTZIAN, polyval_values
 
 
 class TestGrid:
@@ -235,12 +235,14 @@ class TestFitPiecewise:
         )
         grid = Grid(6, 0.0, 2.0)
         pp = fit_piecewise(spec, grid, 2, 1)
-        # region coordinate u = (x - x_start) / span, samples divided by the
-        # largest one, sqrt(pdf(2)) = 3: sqrt(pdf) / 3 = (x_start + 1 + span * u) / 3
+        # region coordinate v = 2 (x - x_start) / span - 1, samples divided by
+        # the largest one, sqrt(pdf(2)) = 3: with x_mid = x_start + span / 2,
+        # sqrt(pdf) / 3 = (x_mid + 1 + span / 2 * v) / 3
         span = 15 * grid.spacing
         for x_start, coeffs in zip(grid.points()[::16], pp.regions):
-            assert coeffs[0] == pytest.approx((x_start + 1.0) / 3, abs=1e-10)
-            assert coeffs[1] == pytest.approx(span / 3, abs=1e-10)
+            x_mid = x_start + span / 2
+            assert coeffs[0] == pytest.approx((x_mid + 1.0) / 3, abs=1e-10)
+            assert coeffs[1] == pytest.approx(span / 6, abs=1e-10)
 
     def test_region_count(self):
         spec = DistributionSpec("gaussian", mu=1.0, sigma=0.5, domain=(0.0, 2.0))
@@ -249,13 +251,13 @@ class TestFitPiecewise:
             assert len(fit_piecewise(spec, grid, k, 2).regions) == 2**k
 
     def test_k_zero_single_region(self):
-        # one region spanning [0, 2]: sqrt(pdf) / 3 = (1 + 2u) / 3
+        # one region spanning [0, 2], x = 1 + v: sqrt(pdf) / 3 = (2 + v) / 3
         spec = DistributionSpec(
             "custom", domain=(0.0, 2.0), pdf_fn=lambda x: (np.asarray(x) + 1.0) ** 2
         )
         pp = fit_piecewise(spec, Grid(6, 0.0, 2.0), 0, 1)
         assert len(pp.regions) == 1
-        assert pp.regions[0] == pytest.approx((1 / 3, 2 / 3), abs=1e-10)
+        assert pp.regions[0] == pytest.approx((2 / 3, 1 / 3), abs=1e-10)
 
     def test_region_starts_past_int64_indices(self):
         # at N = 64 the third region starts at grid index 2^63, past int64
@@ -266,9 +268,9 @@ class TestFitPiecewise:
         pp = fit_piecewise(spec, grid, 2, 1)
         span = (2**62 - 1) * grid.spacing
         for j, coeffs in enumerate(pp.regions):
-            x_start = j * 2**62 * 2.0 / (2**64 - 1)
-            assert coeffs[0] == pytest.approx((x_start + 1.0) / 3, abs=1e-10)
-            assert coeffs[1] == pytest.approx(span / 3, abs=1e-10)
+            x_mid = j * 2**62 * 2.0 / (2**64 - 1) + span / 2
+            assert coeffs[0] == pytest.approx((x_mid + 1.0) / 3, abs=1e-10)
+            assert coeffs[1] == pytest.approx(span / 6, abs=1e-10)
 
     def test_gaussian_pointwise_residual(self):
         spec = DistributionSpec("gaussian", mu=1.0, sigma=1.0, domain=(0.0, 2.0))
@@ -353,13 +355,14 @@ class TestMaskRegion:
         assert np.allclose(got, [1, 1, 1, 1, 0, 0, 0, 0])
 
     def test_linear_second_half(self):
-        # u = (x - x_start) / span runs 0, 1 in each half of the 4-point grid
-        pp = PiecewisePoly(support_bit=1, degree=1, regions=((0.0, 0.0), (2.0, 1.0)))
+        # v = 2 (x - x_start) / span - 1 runs -1, 1 in each half of the
+        # 4-point grid: x = 2, 3 is 2.5 + 0.5 v
+        pp = PiecewisePoly(support_bit=1, degree=1, regions=((0.0, 0.0), (2.5, 0.5)))
         got = assemble(pp, Grid(2, 0.0, 3.0)).to_statevector()
         assert np.allclose(got, [0, 0, 2, 3], atol=1e-12)
 
     def test_partition_of_unity(self, rng):
-        # one polynomial cut into 2^k regions, each re-expanded in its u
+        # one polynomial cut into 2^k regions, each re-expanded in its v
         g = Grid(6, -1.0, 1.0)
         coeffs = rng.uniform(-1, 1, size=4)
         want = poly_mps(coeffs, g).to_statevector()
@@ -368,7 +371,7 @@ class TestMaskRegion:
             span = (block - 1) * g.spacing
             regions = tuple(
                 tuple(np.polynomial.Polynomial(coeffs)(
-                    np.polynomial.Polynomial([x_start, span])).coef)
+                    np.polynomial.Polynomial([x_start + span / 2, span / 2])).coef)
                 for x_start in g.points()[::block]
             )
             pp = PiecewisePoly(support_bit=k, degree=3, regions=regions)
@@ -419,9 +422,10 @@ FAMILIES = [
 
 class TestPiecewiseValues:
     @staticmethod
-    def _per_region_fit_values(spec, grid, k, p, samples=64):
-        # One np.polynomial.Polynomial.fit per region in u, on the samples
-        # divided by the largest one: the reference for the batched solve.
+    def _per_region_fit_values(spec, grid, k, p, samples=64, basis=np.polynomial.Polynomial):
+        # One least-squares fit per region in `basis`, mapped from u onto
+        # [-1, 1], on the samples divided by the largest one: the reference
+        # for the batched solve.
         us = np.linspace(0.0, 1.0, samples)
         block = 2 ** (grid.n_qubits - k)
         pts = grid.points()
@@ -432,7 +436,7 @@ class TestPiecewiseValues:
         peak = max(np.max(y) for y in ys)
         grid_us = np.arange(block) / (block - 1)
         return np.concatenate(
-            [np.polynomial.Polynomial.fit(us, y / peak, p)(grid_us) for y in ys]
+            [basis.fit(us, y / peak, p)(grid_us) for y in ys]
         )
 
     @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.kind)
@@ -445,14 +449,24 @@ class TestPiecewiseValues:
                     want = self._per_region_fit_values(spec, g, k, p)
                     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    def test_degree_20_matches_legendre_fit(self):
+        # The direct solve for powers of v, whose design has condition number
+        # ~2e7 at p=20, against a Legendre fit per region on the same samples.
+        g = Grid.for_spec(NARROW_LORENTZIAN, 16)
+        got = polyval_values(fit_piecewise(NARROW_LORENTZIAN, g, 3, 20), g)
+        want = self._per_region_fit_values(
+            NARROW_LORENTZIAN, g, 3, 20, basis=np.polynomial.Legendre
+        )
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
 
 class TestAssemble:
     def test_k0_equals_poly_mps(self):
-        # on [0, 2] one region has u = x / 2: 1 + u/2 - u^2/4 = 1 + x/4 - x^2/16
+        # on [0, 2] one region has v = x - 1: 1 + v/2 - v^2/4 = 1/4 + x - x^2/4
         g = Grid(5, 0.0, 2.0)
         pp = PiecewisePoly(support_bit=0, degree=2, regions=((1.0, 0.5, -0.25),))
         got = assemble(pp, g).to_statevector()
-        want = poly_mps([1.0, 0.25, -0.0625], g).to_statevector()
+        want = poly_mps([0.25, 1.0, -0.25], g).to_statevector()
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_step_function(self):
@@ -478,6 +492,16 @@ class TestAssemble:
                 want = polyval_values(pp, g)
                 got = assemble(pp, g).to_statevector()
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("p", [11, 17, 20])
+    def test_high_degree_matches_polyval(self, p):
+        # The cores carry the fit's own powers of v: no change of basis with
+        # large cancelling coefficients comes between the fit and the state.
+        g = Grid.for_spec(NARROW_LORENTZIAN, 16)
+        pp = fit_piecewise(NARROW_LORENTZIAN, g, 3, p)
+        want = polyval_values(pp, g)
+        got = assemble(pp, g).to_statevector()
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_rank_bound(self, rng):
         g = Grid(8, 0.0, 1.0)

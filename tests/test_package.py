@@ -52,3 +52,11 @@ def test_benchmark_tracer_installs():
     cmd = [sys.executable, "-c", code, *paths]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_oracle_selfcheck():
+    # The benchmark's oracle checks run, Gate/Circuit construction and
+    # target_amplitudes independently; a change that breaks them fails here.
+    cmd = [sys.executable, str(ROOT / "perfbench" / "selfcheck.py")]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120, cwd=ROOT)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -9,6 +9,9 @@ from mpsprep import (
     Circuit,
     CompressionOptions,
     DistributionSpec,
+    Gate,
+    Grid,
+    PiecewisePoly,
     RunConfig,
     SchemaError,
     build_pipeline,
@@ -16,6 +19,7 @@ from mpsprep import (
     encode,
     error_decomposition,
     fidelity,
+    fit_piecewise,
     max_derivative,
     oracle_compare,
     render_csv,
@@ -30,7 +34,7 @@ from mpsprep import (
 from mpsprep.cli import main
 from mpsprep.pipeline import _csv
 
-from conftest import misplaced_terminal_circuit
+from conftest import NARROW_LORENTZIAN, misplaced_terminal_circuit
 
 
 def gaussian_config(n=8, sigma=1.0, **kw):
@@ -220,8 +224,8 @@ class TestEncode:
 
     def test_three_qr_passes(self, qr_calls):
         # tt_round's left-canonicalizing pass and the two half sweeps of
-        # one ALS sweep over the 57-site head; no stage re-canonicalizes
-        # what the last one made. Sites 57.. move the region coordinate by
+        # one ALS sweep over the 58-site head; no stage re-canonicalizes
+        # what the last one made. Sites 58.. move the region coordinate by
         # less than a float resolves, so they are a |+> tail at any N and
         # compression does not grow past the head.
         counts = []
@@ -229,7 +233,7 @@ class TestEncode:
             qr_calls.clear()
             encode(gaussian_config(n=n))
             counts.append(len(qr_calls))
-        assert counts == [3 * 56] * 4
+        assert counts == [3 * 57] * 4
 
     def test_rank1_target(self):
         cfg = gaussian_config(n=7, compression=CompressionOptions(target_chi=1))
@@ -242,6 +246,7 @@ class TestEncode:
 _GAUSS = DistributionSpec("gaussian", mu=1.0, sigma=1.0, domain=(0.0, 2.0))
 _DENSE_ENTRY_POINTS = {
     "target_amplitudes": lambda: target_amplitudes(_GAUSS, 10),
+    "Grid.points": lambda: Grid(10, 0.0, 2.0).points(),
     "Mps.to_statevector": lambda: build_pipeline(_GAUSS, 10).assembled.to_statevector(),
     "run": lambda: run(Circuit(n_qubits=10, gates=())),
     "to_mps_exact": lambda: to_mps_exact(np.ones(2**10)),
@@ -260,6 +265,31 @@ def test_dense_entry_point_refuses_above_limit(name, monkeypatch):
         _DENSE_ENTRY_POINTS[name]()
 
 
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: Gate((0.5,), np.eye(2)), "qubits"),
+        (lambda: Gate(("1",), np.eye(2)), "qubits"),
+        (lambda: Circuit(0, ()), "n_qubits"),
+        (lambda: Circuit(True, ()), "n_qubits"),
+        (lambda: Grid(True, 0, 1), "n_qubits"),
+        (lambda: Grid(2.0, 0, 1), "n_qubits"),
+        (lambda: Grid(3, "0", 1), "a"),
+        (lambda: PiecewisePoly(-1, 0, ()), "support_bit"),
+        (lambda: fit_piecewise(_GAUSS, Grid(5, 0.0, 2.0), 1, -1), "degree"),
+    ],
+    ids=[
+        "gate-float-qubit", "gate-str-qubit", "circuit-0", "circuit-bool",
+        "grid-bool", "grid-float", "grid-str-bound", "pp-negative-k", "fit-degree",
+    ],
+)
+def test_record_integer_fields_are_checked(make, field):
+    # A record never turns a bad integer field into a plausible wrong value:
+    # each is a ValueError that names the field.
+    with pytest.raises(ValueError, match=rf"^{field} must be"):
+        make()
+
+
 class TestErrorDecompositionReference:
     DOMAINS = {
         "gaussian": (0.0, 2.0), "lorentzian": (0.0, 2.0), "lognormal": (0.0, 5.0)
@@ -267,10 +297,11 @@ class TestErrorDecompositionReference:
 
     @staticmethod
     def dense_reference(result):
-        # The four-dense-vector formulas: every figure from 2^N vectors.
+        # The four-dense-vector formulas: every figure, norms included, from
+        # 2^N vectors.
         exact = target_amplitudes(result.spec, result.grid.n_qubits)
-        pp_state = result.assembled.normalize().to_statevector()
-        chi_state = result.compressed.normalize().to_statevector()
+        states = [m.to_statevector() for m in (result.assembled, result.compressed)]
+        pp_state, chi_state = (v / np.linalg.norm(v) for v in states)
         circ_state = run(result.circuit)
         return (
             1.0 - fidelity(exact, pp_state),
@@ -289,6 +320,13 @@ class TestErrorDecompositionReference:
                 got = (dec.pp_error, dec.mps_error, dec.gate_error, dec.total)
                 want = self.dense_reference(result)
                 assert np.max(np.abs(np.subtract(got, want))) <= 1e-12, (n, p)
+
+    def test_degree_20_lorentzian(self):
+        result = build_pipeline(NARROW_LORENTZIAN, 16, degree=20)
+        dec = error_decomposition(result)
+        got = (dec.pp_error, dec.mps_error, dec.gate_error, dec.total)
+        want = self.dense_reference(result)
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
 
     def test_above_limit_fidelity_is_gate_overlap(self, monkeypatch):
         cfg = gaussian_config(n=10, sigma=0.3)

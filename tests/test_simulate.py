@@ -16,7 +16,7 @@ from mpsprep import (
 )
 from mpsprep.simulate import _circuit_halves, _cut_overlap
 
-from conftest import polyval_values, random_mps
+from conftest import NARROW_LORENTZIAN, polyval_values, random_mps
 
 
 def hadamard_like():
@@ -148,11 +148,27 @@ class TestFitErrorMatchesPolyval:
                 self._check(spec, n, p)
 
     def test_degree_20(self):
-        # At p=20 the monomial cores carry large entries, and overlap(a, a)
-        # puts ||a|| off by 3.2e-6 relative; the norm from the two halves
-        # keeps pp_error at the reference's 0.
-        spec = DistributionSpec("lorentzian", mu=1.0, sigma=0.1, domain=(0.0, 2.0))
-        self._check(spec, 16, 20)
+        # At p=20 the fit's design has condition number ~2e7; the assembled
+        # state must still carry the fit, and its norm, to round-off.
+        self._check(NARROW_LORENTZIAN, 16, 20)
+
+
+class TestDegree20Norm:
+    """At p=20 the one norm of the assembled MPS, Mps.norm, is exact to round-off."""
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        return build_pipeline(NARROW_LORENTZIAN, 16, degree=20)
+
+    def test_assembled_norm_matches_dense(self, result):
+        want = np.linalg.norm(result.assembled.to_statevector())
+        assert abs(result.assembled.norm() - want) <= 1e-14 * want
+
+    def test_mps_error_matches_dense(self, result):
+        a = result.assembled.to_statevector()
+        c = result.compressed.to_statevector()
+        want = 1.0 - abs(a @ c) / np.linalg.norm(a)
+        assert abs(error_decomposition(result).mps_error - want) <= 1e-13
 
 
 class TestSplitOverlap:
