@@ -51,13 +51,17 @@ def _as_int(value, name: str) -> int:
 
 def _as_real(value, name: str) -> float:
     """``value`` as a Python float; Python and numpy reals are accepted, and
-    a bool, str or any other type is a ValueError that names ``name``.
-    Range rules, NaN included, are the caller's."""
+    a bool, str, int beyond float range or any other type is a ValueError
+    that names ``name``. Other range rules, NaN included, are the caller's."""
     if isinstance(value, bool) or not isinstance(
         value, (int, float, np.integer, np.floating)
     ):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        msg = f"{name} must fit a float, got a {value.bit_length()}-bit int"
+        raise ValueError(msg) from None
 
 
 def _int_field(obj, name: str) -> None:

@@ -35,6 +35,7 @@ import numpy as np
 
 from .linalg import (
     PRODUCT_TOL,
+    _as_int,
     _check_max_rank,
     _int_field,
     _qr_signed,
@@ -143,8 +144,9 @@ class Mps:
         return max(self.bond_dims)
 
     def amplitude(self, bits) -> float:
-        """Contract the chain along one bitstring (str of 0/1 or int sequence)."""
-        b = [int(ch) for ch in bits]
+        """Contract the chain along one bitstring: a str of 0/1 or a
+        sequence of ints (a bool or float entry is a ValueError)."""
+        b = [int(x) if isinstance(x, str) else _as_int(x, "bits") for x in bits]
         if len(b) != self.n_sites:
             raise ValueError(f"expected {self.n_sites} bits, got {len(b)}")
         if any(x not in (0, 1) for x in b):

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import DecayFit, _check_chi, chi_bound, fit_decay, max_derivative
-from .circuits import Circuit, Gate
+from .circuits import Circuit, Gate, circuit_to_mps
 from .functions import DistributionSpec, target_amplitudes
 from .mps import (
     CompressionOptions,
@@ -145,7 +145,8 @@ def encode(config: RunConfig) -> tuple[Circuit, RunReport]:
             errors = error_decomposition(result)
             fid, fid_vs = errors.fidelity, "exact_target"
         else:
-            errors, fid, fid_vs = None, _gate_fidelity(result), "compressed_mps"
+            errors, fid_vs = None, "compressed_mps"
+            fid = _gate_fidelity(result.compressed, circuit_to_mps(result.circuit))
     return result.circuit, RunReport(config, result, fid, fid_vs, errors)
 
 

@@ -17,11 +17,12 @@ as its output.
 Error accounting takes one run of the construction (fit, assemble,
 compress, extract) and attributes its final infidelity to the three
 sources by successive overlap drops; shares are each drop divided by
-the total infidelity. The fit and the total read the exact target
-against two halves cut at the middle qubit: the assembled MPS contracted
-on either side, and the simulator run on the gates above and below. So
-the target is the only 2^N vector. Compression and gate drops are MPS
-overlaps.
+the total infidelity. It never simulates the gates: the circuit's state
+is the rank-2 MPS that :func:`circuit_to_mps` reads off them. That MPS
+and the assembled one are each cut at qubit N // 2, and the exact
+target is read once, against both tails stacked, for the fit and the
+total. So the target is the only 2^N vector. Compression and gate drops
+are MPS overlaps.
 """
 
 from __future__ import annotations
@@ -67,13 +68,8 @@ def run(c: Circuit) -> np.ndarray:
     are appended at the end and the axes put in big-endian qubit order.
     """
     _check_dense(c.n_qubits, "run")
-    return _gather(*_apply(np.ones(()), [], c.gates), range(c.n_qubits)).reshape(-1)
-
-
-def _apply(psi: np.ndarray, held: list[int], gates) -> tuple[np.ndarray, list[int]]:
-    # The simulator: apply `gates` in order to psi, whose axes hold the
-    # qubits `held`. Returns the new state and its axis labels.
-    for gate in gates:
+    psi, held = np.ones(()), []  # held: the qubit on each axis of psi
+    for gate in c.gates:
         qubits = list(gate.qubits)
         joining = [q for q in qubits if q not in held]
         psi = _join_zero(psi, len(joining))
@@ -81,43 +77,10 @@ def _apply(psi: np.ndarray, held: list[int], gates) -> tuple[np.ndarray, list[in
         rest = [q for q in held if q not in qubits]
         psi = psi.transpose([held.index(q) for q in rest + qubits])
         held = rest + qubits
-        out = psi.reshape(-1, 2 ** len(qubits)) @ gate.matrix.T
-        psi = out.reshape(psi.shape)
-    return psi, held
-
-
-def _gather(psi: np.ndarray, held: list[int], order) -> np.ndarray:
-    # psi with the untouched qubits of `order` joined as |0> and its axes
-    # put in the order of `order`, which must name every held axis.
-    order = list(order)
-    idle = [q for q in order if q not in held]
-    psi = _join_zero(psi, len(idle))
-    return np.transpose(psi, [(held + idle).index(q) for q in order])
-
-
-def _circuit_halves(c: Circuit) -> tuple[np.ndarray, np.ndarray]:
-    # (head, tail) of the circuit state cut at qubit h = N // 2, whose first
-    # h gates must act on qubits 0..h and the rest on h..N-1. head[x, c]
-    # holds qubits 0..h-1 = x, qubit h = c; the tail runs on both basis
-    # states c of qubit h at once, on an identity whose axis -1 no gate
-    # touches, and tail[c, y] holds qubits h..N-1 = y: the state is head @ tail.
-    n = c.n_qubits
-    h = n // 2
-    for i, gate in enumerate(c.gates):
-        lo, hi = (0, h) if i < h else (h, n - 1)
-        if not all(lo <= q <= hi for q in gate.qubits):
-            raise ValueError(
-                f"circuit does not split at qubit h={h}: gate {i} acts on "
-                f"{gate.qubits}, outside qubits {lo}..{hi}"
-            )
-    head = _gather(*_apply(np.ones(()), [], c.gates[:h]), range(h + 1))
-    tail = _gather(*_apply(np.eye(2), [-1, h], c.gates[h:]), [-1, *range(h, n)])
-    return head.reshape(2**h, 2), tail.reshape(2, 2 ** (n - h))
-
-
-def _cut_overlap(target: np.ndarray, head: np.ndarray, tail: np.ndarray) -> float:
-    # <target|head @ tail>, never forming head @ tail.
-    return float(np.sum(head * (target.reshape(len(head), -1) @ tail.T)))
+        psi = (psi.reshape(-1, 2 ** len(qubits)) @ gate.matrix.T).reshape(psi.shape)
+    idle = [q for q in range(c.n_qubits) if q not in held]
+    order = [(held + idle).index(q) for q in range(c.n_qubits)]
+    return _join_zero(psi, len(idle)).transpose(order).reshape(-1)
 
 
 def _join_zero(psi: np.ndarray, count: int) -> np.ndarray:
@@ -228,7 +191,8 @@ class ErrorDecomposition:
 
     ``pp_error`` = 1 - |<exact target|assembled>| / ||assembled||, the fit
     as the MPS encodes it, and ``total`` = 1 - |<exact target|circuit
-    state>|, each read off two halves split at the middle qubit.
+    state>|, both read off one product of the target with the two MPS
+    cut at qubit N // 2.
     ``mps_error`` = 1 - |<assembled|compressed>| / ||assembled|| and
     ``gate_error`` = 1 - |<compressed|circuit state>| are MPS overlaps.
     ||assembled|| is :meth:`Mps.norm`, taken once for both.
@@ -254,27 +218,35 @@ class ErrorDecomposition:
         }
 
 
-def _gate_fidelity(result: PipelineResult) -> float:
+def _gate_fidelity(compressed: Mps, circuit_state: Mps) -> float:
     # |<compressed|circuit state>| by core contraction, valid at any N.
-    return min(abs(overlap(result.compressed, circuit_to_mps(result.circuit))), 1.0)
+    return min(abs(overlap(compressed, circuit_state)), 1.0)
 
 
 def error_decomposition(result: PipelineResult) -> ErrorDecomposition:
     """Attribute a run's end-to-end infidelity to fit, compression, and gates.
 
-    The fit and the circuit are each cut at qubit N // 2 and contracted
-    there with the exact target, the one 2^N vector.
+    The circuit's state is read off its gates by :func:`circuit_to_mps`.
+    It and the assembled MPS are each cut at qubit h = N // 2, and the
+    exact target, the one 2^N vector, is read once: its (2^h, 2^(N-h))
+    view times both tails stacked gives the fit and the total together.
     """
-    exact = target_amplitudes(result.spec, result.grid.n_qubits)
     a = result.assembled
+    circ = circuit_to_mps(result.circuit)
+    h = a.n_sites // 2
+    a_head, a_tail = _halves(a, h)
+    c_head, c_tail = _halves(circ, h)
+    exact = target_amplitudes(result.spec, result.grid.n_qubits)
+    cut = exact.reshape(len(a_head), -1) @ np.vstack([a_tail, c_tail]).T
     a_norm = a.norm()
-    f_pp = min(abs(_cut_overlap(exact, *_halves(a, a.n_sites // 2))) / a_norm, 1.0)
-    f_total = min(abs(_cut_overlap(exact, *_circuit_halves(result.circuit))), 1.0)
+    bond = len(a_tail)
+    f_pp = min(abs(float(np.sum(a_head * cut[:, :bond]))) / a_norm, 1.0)
+    f_total = min(abs(float(np.sum(c_head * cut[:, bond:]))), 1.0)
     f_compress = min(abs(overlap(a, result.compressed)) / a_norm, 1.0)
     return ErrorDecomposition(
         pp_error=1.0 - f_pp,
         mps_error=1.0 - f_compress,
-        gate_error=1.0 - _gate_fidelity(result),
+        gate_error=1.0 - _gate_fidelity(result.compressed, circ),
         total=1.0 - f_total,
         fidelity=f_total,
     )

@@ -8,6 +8,17 @@ from mpsprep.linalg import _qr_signed
 # checks of the fit, the assembled state and its norm run on.
 NARROW_LORENTZIAN = DistributionSpec("lorentzian", mu=1.0, sigma=0.1, domain=(0.0, 2.0))
 
+# The three families and one custom pdf.
+FAMILIES = [
+    DistributionSpec("gaussian", mu=1.0, sigma=0.3, domain=(0.0, 2.0)),
+    DistributionSpec("lognormal", mu=1.0, sigma=0.5, domain=(0.0, 5.0)),
+    DistributionSpec("lorentzian", mu=1.0, sigma=0.2, domain=(0.0, 2.0)),
+    DistributionSpec(
+        "custom", domain=(-1.0, 3.0),
+        pdf_fn=lambda x: 1.0 + np.sin(np.asarray(x)) ** 2,
+    ),
+]
+
 
 def random_mps(n, chi, rng, scaled=False):
     """Random MPS with bonds capped at chi and the representable maximum."""

@@ -11,6 +11,7 @@ from mpsprep import (
     Grid,
     Mps,
     assemble,
+    build_pipeline,
     circuit_to_mps,
     compress_als,
     extract_circuit,
@@ -21,7 +22,7 @@ from mpsprep import (
 )
 from mpsprep.circuits import _final_gate_from_core, _gates_from_cores, _right_canonical
 
-from conftest import misplaced_terminal_circuit, random_mps
+from conftest import FAMILIES, misplaced_terminal_circuit, random_mps
 
 
 def compressed_gaussian(n, sigma=1.0):
@@ -217,10 +218,17 @@ class TestGaugeOnce:
 
 class TestCircuitToMps:
     def test_roundtrip_against_simulator(self, rng):
-        m = random_mps(8, 2, rng).normalize()
-        circ = extract_circuit(m)
-        back = circuit_to_mps(circ)
-        assert np.max(np.abs(back.to_statevector() - run(circ))) <= 1e-12
+        # Verification reads the circuit's state off circuit_to_mps, never
+        # off the gate simulator; the two must agree to round-off.
+        for n in range(1, 17):
+            circuits = [
+                build_pipeline(spec, n, support_bit=min(3, n - 1)).circuit
+                for spec in FAMILIES[:3]
+            ]
+            circuits.append(extract_circuit(random_mps(n, 2, rng).normalize()))
+            for circ in circuits:
+                got = circuit_to_mps(circ).to_statevector()
+                assert np.max(np.abs(got - run(circ))) <= 1e-15, n
 
     def test_rejects_non_staircase(self):
         g = Gate((0,), np.eye(2))

@@ -16,7 +16,7 @@ from mpsprep import (
     target_amplitudes,
 )
 
-from conftest import NARROW_LORENTZIAN, polyval_values
+from conftest import FAMILIES, NARROW_LORENTZIAN, polyval_values
 
 
 class TestGrid:
@@ -407,17 +407,6 @@ class TestMaskRegion:
         pp = PiecewisePoly(support_bit=2, degree=0, regions=((1.0,),) * 4)
         with pytest.raises(ValueError, match="support_bit"):
             assemble(pp, Grid(2, 0.0, 1.0))
-
-
-FAMILIES = [
-    DistributionSpec("gaussian", mu=1.0, sigma=0.3, domain=(0.0, 2.0)),
-    DistributionSpec("lognormal", mu=1.0, sigma=0.5, domain=(0.0, 5.0)),
-    DistributionSpec("lorentzian", mu=1.0, sigma=0.2, domain=(0.0, 2.0)),
-    DistributionSpec(
-        "custom", domain=(-1.0, 3.0),
-        pdf_fn=lambda x: 1.0 + np.sin(np.asarray(x)) ** 2,
-    ),
-]
 
 
 class TestPiecewiseValues:

@@ -122,6 +122,24 @@ class TestAmplitude:
         with pytest.raises(ValueError, match="bits"):
             ones_product_state(3).amplitude("01")
 
+    @pytest.mark.parametrize(
+        "bits, match",
+        [
+            ([0, 1.7, 0], "bits must be an integer"),
+            ([0, True, 0], "bits must be an integer"),
+            ([0, 2, 0], "bits must be 0 or 1"),
+            ("021", "bits must be 0 or 1"),
+        ],
+        ids=["float", "bool", "int-2", "str-2"],
+    )
+    def test_rejects_an_entry_that_is_not_a_bit(self, bits, match):
+        with pytest.raises(ValueError, match=match):
+            ones_product_state(3).amplitude(bits)
+
+    def test_numpy_integer_bits(self):
+        m = poly_mps([0.0, 1.0], Grid(2, 0.0, 3.0))
+        assert m.amplitude(np.array([1, 0])) == m.amplitude("10")
+
 
 class TestStatevector:
     def test_uniform(self):

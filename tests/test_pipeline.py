@@ -290,6 +290,21 @@ def test_record_integer_fields_are_checked(make, field):
         make()
 
 
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: Grid(3, 10**400, 10**401), "a"),
+        (lambda: DistributionSpec("gaussian", mu=10**400), "mu"),
+    ],
+    ids=["grid-bound", "spec-mu"],
+)
+def test_record_real_field_names_a_huge_int(make, field):
+    # An int beyond float range is a ValueError that names the field and
+    # the int's size, never its 400 digits.
+    with pytest.raises(ValueError, match=rf"^{field} must fit a float, got a 1329-bit int$"):
+        make()
+
+
 class TestErrorDecompositionReference:
     DOMAINS = {
         "gaussian": (0.0, 2.0), "lorentzian": (0.0, 2.0), "lognormal": (0.0, 5.0)

@@ -14,9 +14,7 @@ from mpsprep import (
     run,
     target_amplitudes,
 )
-from mpsprep.simulate import _circuit_halves, _cut_overlap
-
-from conftest import NARROW_LORENTZIAN, polyval_values, random_mps
+from conftest import FAMILIES, NARROW_LORENTZIAN, polyval_values, random_mps
 
 
 def hadamard_like():
@@ -172,34 +170,20 @@ class TestDegree20Norm:
 
 
 class TestSplitOverlap:
-    def test_matches_dense_overlap(self, rng):
-        # N = 1 and 2 cut at h = 0 and h = 1: an empty head, then one gate.
-        spec = DistributionSpec("gaussian", mu=1.0, sigma=0.44, domain=(0.0, 2.0))
+    @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.kind)
+    def test_matches_dense_overlap(self, spec):
+        # error_decomposition against the dense circuit and assembled states;
+        # N = 1 and 2 cut at h = 0 and h = 1: an empty head, then one site.
         for n in range(1, 17):
-            circuits = [
-                build_pipeline(spec, n, support_bit=min(3, n - 1)).circuit,
-                extract_circuit(random_mps(n, 2, rng).normalize()),
-            ]
-            noise = rng.standard_normal(2**n)
-            for target in (target_amplitudes(spec, n), noise / np.linalg.norm(noise)):
-                for circ in circuits:
-                    got = _cut_overlap(target, *_circuit_halves(circ))
-                    assert abs(got - target @ run(circ)) <= 1e-14
-
-    @pytest.mark.parametrize(
-        "qubits, gate",
-        [
-            ([(0, 1), (1, 2), (2, 3), (0,)], 3),  # a tail gate below the cut
-            ([(0, 1), (2, 3), (1, 2), (3,)], 1),  # a head gate above the cut
-        ],
-    )
-    def test_rejects_a_circuit_that_does_not_split(self, qubits, gate, rng):
-        circ = Circuit(
-            n_qubits=4,
-            gates=tuple(Gate(q, _random_orthogonal(rng, 2 ** len(q))) for q in qubits),
-        )
-        with pytest.raises(ValueError, match=rf"split at qubit h=2: gate {gate} "):
-            _circuit_halves(circ)
+            res = build_pipeline(spec, n, support_bit=min(3, n - 1))
+            dec = error_decomposition(res)
+            target = target_amplitudes(spec, n)
+            a = res.assembled.to_statevector()
+            want_pp = 1.0 - min(abs(target @ a) / np.linalg.norm(a), 1.0)
+            want_total = 1.0 - min(abs(target @ run(res.circuit)), 1.0)
+            assert abs(dec.total - want_total) <= 1e-14, n
+            assert abs(dec.pp_error - want_pp) <= 1e-14, n
+            assert {type(x) for x in vars(dec).values()} == {float}
 
     def test_no_dense_circuit_state(self):
         # Only the target is a 2^N vector: the traced peak stays well below
