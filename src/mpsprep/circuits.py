@@ -10,6 +10,15 @@ compare against it. Gate columns come straight from right-canonical
 cores (other input is canonicalized first). One complete Householder QR
 fills the rest, and each gate's free columns depend only on its own
 columns; identical inputs yield bit-identical circuits.
+
+Each check runs once, at the boundary, over stacks. A public
+:class:`Gate` checks its own qubits and matrix, and a :class:`Circuit`
+its register. Extraction checks the finiteness of all its gate matrices
+at once and builds its records with ``_gate``, which skips the per-gate
+checks; so does deserialization, after its own schema checks.
+:func:`circuit_to_mps` reads all the cores off one stack of the gate
+matrices, and :func:`validate_circuit` takes the orthogonality of all
+gates of a size in one batched product.
 """
 
 from __future__ import annotations
@@ -63,6 +72,16 @@ class Gate:
         return float(np.max(np.abs(g.T @ g - np.eye(g.shape[0]))))
 
 
+def _gate(qubits: tuple[int, ...], matrix: np.ndarray) -> Gate:
+    """A :class:`Gate` built without its checks: ``qubits`` are one or two
+    distinct Python ints and ``matrix`` is a finite float64 array of the
+    matching shape, as the caller has checked over all its gates at once."""
+    gate = object.__new__(Gate)
+    object.__setattr__(gate, "qubits", qubits)
+    object.__setattr__(gate, "matrix", matrix)
+    return gate
+
+
 @dataclass(frozen=True)
 class Circuit:
     """Ordered gate list, applied left to right to the all-zeros state."""
@@ -89,6 +108,16 @@ def _staircase_qubits(n: int, count: int) -> list[tuple[int, ...]]:
     return [(t, t + 1) if t < n - 1 else (t,) for t in range(min(count, n))]
 
 
+def _distinct(objs, key=id) -> tuple[list, list[int]]:
+    """The objects of ``objs`` distinct by ``key`` (identity by default),
+    in first-seen order, and each entry's row among them: a chain that
+    repeats one core or gate (the |+> tail of a compressed chain) is
+    worked on once per distinct one."""
+    slot = {}
+    rows = [slot.setdefault(key(o), (len(slot), o))[0] for o in objs]
+    return [o for _, o in slot.values()], rows
+
+
 def _gates_from_cores(cores) -> np.ndarray:
     """Two-qubit gates whose (bond, |0>) columns reproduce rank<=2 cores.
 
@@ -98,8 +127,10 @@ def _gates_from_cores(cores) -> np.ndarray:
     remaining columns come from one complete QR of all gates' (b, 0)
     columns, zero-padded past the left bond: on a zero column the second
     Householder reflector is the identity. Each gate's free columns
-    depend only on its own columns.
+    depend only on its own columns, so a repeated core object is
+    factored once.
     """
+    cores, rows = _distinct(cores)
     cols = np.zeros((len(cores), 4, 2))  # cols[t, s*2 + r, b]
     for col, core in zip(cols.reshape(-1, 2, 2, 2), cores):
         col[:, : core.shape[2], : len(core)] = core.transpose(1, 2, 0)
@@ -108,7 +139,7 @@ def _gates_from_cores(cores) -> np.ndarray:
     gates[:, :, 0] = cols[:, :, 0]
     two = np.array([len(core) == 2 for core in cores], dtype=bool)
     gates[two, :, 2] = cols[two, :, 1]
-    return gates
+    return gates[rows]
 
 
 def _final_gate_from_core(core: np.ndarray) -> np.ndarray:
@@ -121,12 +152,14 @@ def _final_gate_from_core(core: np.ndarray) -> np.ndarray:
 
 def _right_canonical(cores) -> bool:
     """Whether cores 1..N-1 (bonds <= 2) are right isometries to 1e-13: one
-    batched A A^T of their (left, 2*right) unfoldings, zero-padded to 2x4."""
-    rows = np.zeros((len(cores) - 1, 2, 4))
-    for row, core in zip(rows.reshape(-1, 2, 2, 2), cores[1:]):
+    batched A A^T of the distinct cores' (left, 2*right) unfoldings,
+    zero-padded to 2x4."""
+    cores = _distinct(cores[1:])[0]
+    rows = np.zeros((len(cores), 2, 4))
+    for row, core in zip(rows.reshape(-1, 2, 2, 2), cores):
         row[: len(core), :, : core.shape[2]] = core
     gram = rows @ rows.swapaxes(1, 2)
-    gram[[len(core) == 1 for core in cores[1:]], 1, 1] = 1.0  # the padding row
+    gram[[len(core) == 1 for core in cores], 1, 1] = 1.0  # the padding row
     return bool(np.all(np.abs(gram - np.eye(2)) <= 1e-13))
 
 
@@ -151,10 +184,12 @@ def extract_circuit(m: Mps) -> Circuit:
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"input must be normalized, got norm {nrm!r}")
 
-    matrices = list(_gates_from_cores(canon.cores[:-1]))
-    matrices.append(_final_gate_from_core(canon.cores[-1]))
+    pairs = _gates_from_cores(canon.cores[:-1])
+    final = _final_gate_from_core(canon.cores[-1])
+    if not (np.isfinite(pairs).all() and np.isfinite(final).all()):
+        raise ValueError("gate matrix contains non-finite entries")
     layout = _staircase_qubits(canon.n_sites, canon.n_sites)
-    return Circuit(canon.n_sites, tuple(map(Gate, layout, matrices)))
+    return Circuit(canon.n_sites, tuple(map(_gate, layout, [*pairs, final])))
 
 
 def circuit_to_mps(c: Circuit) -> Mps:
@@ -169,11 +204,15 @@ def circuit_to_mps(c: Circuit) -> Mps:
     qubits = [g.qubits for g in c.gates]
     if len(qubits) != c.n_qubits or qubits != _staircase_qubits(c.n_qubits, c.n_qubits):
         raise ValueError("not a staircase circuit; cannot invert to an MPS")
-    cores = []
-    for i, gate in enumerate(c.gates[:-1]):
-        # Inverse of _gates_from_cores: core[b, s, r] = gate[s*2 + r, b*2].
-        core = gate.matrix.reshape(2, 2, 2, 2)[:, :, :, 0].transpose(2, 0, 1)
-        cores.append(core[:1] if i == 0 else core)
+    # Gates with the same bytes share one core object, so the MPS copies
+    # each distinct gate once. Inverse of _gates_from_cores: core[b, s, r] =
+    # gate[s*2 + r, b*2], read off one stack of the distinct gates.
+    mats, rows = _distinct([g.matrix for g in c.gates[:-1]], np.ndarray.tobytes)
+    pairs = np.array(mats).reshape(-1, 2, 2, 2, 2)
+    distinct = list(pairs[..., 0].transpose(0, 3, 1, 2))
+    cores = [distinct[r] for r in rows]
+    if cores:
+        cores[0] = cores[0][:1]
     al = 1 if c.n_qubits == 1 else 2
     cores.append(c.gates[-1].matrix[:, :al].T.reshape(al, 2, 1))
     return Mps(cores)
@@ -201,17 +240,25 @@ def validate_circuit(c: Circuit, tol: float = 1e-10) -> ValidationReport:
     The circuit is a staircase when its gate list is a prefix of the
     layout :func:`extract_circuit` emits. Never raises on a bad circuit;
     all its failures are reported as issues. An empty circuit is trivially
-    valid. A NaN or negative ``tol`` is a ValueError.
+    valid. A NaN or negative ``tol`` is a ValueError. Each gate's
+    deviation is :meth:`Gate.orthogonality_deviation`'s, taken for all
+    gates of a size in one batched product.
     """
     if not _as_real(tol, "tol") >= 0:  # NaN fails too
         raise ValueError(f"tol must be >= 0, got {tol}")
+    devs = np.zeros(len(c.gates))
+    sizes = np.array([len(g.matrix) for g in c.gates])
+    for size in (2, 4):
+        idx = np.flatnonzero(sizes == size)
+        if idx.size:
+            mats = np.array([c.gates[i].matrix for i in idx])
+            gram = mats.swapaxes(1, 2) @ mats
+            devs[idx] = np.abs(gram - np.eye(size)).max(axis=(1, 2))
+    devs = devs.tolist()
     issues = []
-    max_dev = 0.0
     layout = _staircase_qubits(c.n_qubits, len(c.gates))
     staircase = True
-    for idx, gate in enumerate(c.gates):
-        dev = gate.orthogonality_deviation()
-        max_dev = max(max_dev, dev)
+    for idx, (gate, dev) in enumerate(zip(c.gates, devs)):
         if dev > tol:
             issues.append(
                 f"gate {idx} on {gate.qubits} deviates from orthogonality by {dev:.3e}"
@@ -228,7 +275,7 @@ def validate_circuit(c: Circuit, tol: float = 1e-10) -> ValidationReport:
         n_qubits=c.n_qubits,
         gate_count=len(c.gates),
         two_qubit_count=sum(len(g.qubits) == 2 for g in c.gates),
-        max_orthogonality_deviation=max_dev,
+        max_orthogonality_deviation=max(devs, default=0.0),
         staircase=staircase,
         issues=tuple(issues),
     )

@@ -7,10 +7,16 @@ of the MPS sweeps, whose R diagonal is non-negative. These conventions
 make every downstream artifact (cores, gates, serialized circuits)
 reproducible bit for bit.
 
-The rank rule lives in :func:`truncated_svd` alone: a cut keeps its
+The rank rule lives in :func:`_svd_cut` alone: a cut keeps its
 numerical rank, the values strictly above ``RANK_FLOOR`` of its largest,
 optionally capped at a maximum rank. The floor is relative, so the
 kept ranks do not change when the matrix is scaled.
+
+Checks run once, at the boundary. Public :func:`truncated_svd` copies
+its input and checks its shape and finiteness, then cuts it with
+:func:`_svd_cut`. The MPS sweeps call :func:`_svd_cut` directly on the
+matrices they have just built from checked cores, so no sweep step
+copies or scans its matrix again.
 """
 
 from __future__ import annotations
@@ -140,6 +146,18 @@ def _check_max_rank(max_rank) -> None:
         raise ValueError(f"max_rank must be >= 1, got {max_rank}")
 
 
+def _svd_cut(m: np.ndarray, max_rank: int | None):
+    """``(u, s, vt, dropped)``: the triplets of ``m``'s SVD that the rank
+    rule of :func:`truncated_svd` keeps, signs fixed, and the singular
+    values it drops. ``m`` must be a finite 2-d float array and
+    ``max_rank`` None or >= 1; neither is checked here."""
+    u, s, vt = _raw_svd(m)
+    keep = max(1, int(np.count_nonzero(s > RANK_FLOOR * s[0])))
+    keep = keep if max_rank is None else min(keep, max_rank)
+    u, vt = _fix_svd_signs(u[:, :keep], vt[:keep])
+    return u, s[:keep], vt, s[keep:]
+
+
 def truncated_svd(a, max_rank: int | None = None) -> SvdResult:
     """SVD cut to the matrix's numerical rank, capped at ``max_rank``.
 
@@ -149,15 +167,13 @@ def truncated_svd(a, max_rank: int | None = None) -> SvdResult:
     Left singular vectors have a positive first nonzero entry. The
     reported ``truncation_error`` is the Frobenius distance to the best
     approximation of the kept rank, sqrt(sum of squared discarded values),
-    counting the values below the floor too.
+    counting the values below the floor too. ``a`` and ``max_rank`` are
+    checked here, and the cut is :func:`_svd_cut`'s.
     """
     _check_max_rank(max_rank)
-    u, s, vt = _raw_svd(_as_matrix(a))
-    u, vt = _fix_svd_signs(u, vt)
-    keep = max(1, int(np.count_nonzero(s > RANK_FLOOR * s[0])))
-    keep = keep if max_rank is None else min(keep, max_rank)
-    err = float(np.sqrt(np.sum(s[keep:] ** 2)))
-    return SvdResult(u=u[:, :keep], s=s[:keep], vt=vt[:keep, :], truncation_error=err)
+    u, s, vt, dropped = _svd_cut(_as_matrix(a), max_rank)
+    err = float(np.sqrt(np.sum(dropped**2)))
+    return SvdResult(u=u, s=s, vt=vt, truncation_error=err)
 
 
 def _qr_signed(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,8 @@ so a bitstring ``s_0 ... s_{N-1}`` addresses dense index
 Provided here: exact construction from dense vectors by successive SVDs,
 evaluation, inner products, canonical forms, rank reduction by
 truncated-SVD sweeps (each bond cut to its numerical rank, optionally
-capped at ``max_rank``, by :func:`~mpsprep.linalg.truncated_svd`), and
+capped at ``max_rank``, by the rank rule of
+:func:`~mpsprep.linalg.truncated_svd`), and
 variational fixed-rank compression by alternating single-site overlap
 maximization. Compression works on the head of the chain only: a
 trailing run of cores whose two slices agree to ``PRODUCT_TOL`` of the
@@ -40,7 +41,7 @@ from .linalg import (
     _int_field,
     _qr_signed,
     _real_field,
-    truncated_svd,
+    _svd_cut,
 )
 
 __all__ = [
@@ -105,19 +106,25 @@ class Mps:
     __slots__ = ("cores",)
 
     def __init__(self, cores):
-        stored = []
+        # A run of one core object (a compressed chain repeats one |+> core
+        # along its tail) is copied and checked once. `prev` holds the
+        # run's source, so the identity test cannot be fooled.
+        stored, distinct, prev = [], [], None
         for i, c in enumerate(cores):
-            # C order: cores made on the mirrored chain arrive transposed.
-            arr = np.array(c, dtype=float, order="C")
-            if arr.ndim != 3 or arr.shape[1] != 2:
-                raise ValueError(
-                    f"core {i} must have shape (left, 2, right), got {arr.shape}"
-                )
-            arr.flags.writeable = False
+            if i == 0 or c is not prev:
+                # C order: cores made on the mirrored chain arrive transposed.
+                arr = np.array(c, dtype=float, order="C")
+                if arr.ndim != 3 or arr.shape[1] != 2:
+                    raise ValueError(
+                        f"core {i} must have shape (left, 2, right), got {arr.shape}"
+                    )
+                arr.flags.writeable = False
+                distinct.append(arr)
+                prev = c
             stored.append(arr)
         if not stored:
             raise ValueError("an MPS needs at least one core")
-        if not np.isfinite(np.concatenate([a.reshape(-1) for a in stored])).all():
+        if not np.isfinite(np.concatenate([a.reshape(-1) for a in distinct])).all():
             i = next(i for i, a in enumerate(stored) if not np.isfinite(a).all())
             raise ValueError(f"core {i} contains non-finite entries")
         if stored[0].shape[0] != 1 or stored[-1].shape[2] != 1:
@@ -240,9 +247,10 @@ def to_mps_exact(v, max_rank: int | None = None) -> Mps:
 
 
 def _svd_step(mat: np.ndarray, max_rank: int | None):
-    """``(u, s vt)`` of ``truncated_svd(mat, max_rank)``."""
-    res = truncated_svd(mat, max_rank)
-    return res.u, res.s[:, None] * res.vt
+    """``(u, s vt)`` of ``mat`` cut as ``truncated_svd(mat, max_rank)`` cuts
+    it; ``mat`` is a finite unfolding the sweep has just built."""
+    u, s, vt, _ = _svd_cut(mat, max_rank)
+    return u, s[:, None] * vt
 
 
 def overlap(a: Mps, b: Mps) -> float:

@@ -8,6 +8,14 @@ Sweep helpers fan the same run out over standard deviations, polynomial
 degrees, or system sizes and emit rows with a stable column order, so
 repeated campaigns diff cleanly (timing columns excepted). Circuits
 round-trip losslessly through a small JSON schema.
+
+A circuit file is checked once, at the boundary, over all its gates:
+each gate's structure (qubits, matrix shape) as it is read, then the
+element types in one scan and finiteness over one float stack per gate
+size, then distinct qubits. The first failure in gate order is
+reported, as a gate-by-gate reading would report it. The checked gates
+are built without the public :class:`Gate` checks, and the register
+range is :class:`Circuit`'s. Writing renders each distinct matrix once.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import DecayFit, _check_chi, chi_bound, fit_decay, max_derivative
-from .circuits import Circuit, Gate, circuit_to_mps
+from .circuits import Circuit, Gate, _distinct, _gate, circuit_to_mps
 from .functions import DistributionSpec, target_amplitudes
 from .mps import (
     CompressionOptions,
@@ -325,12 +333,18 @@ class SchemaError(ValueError):
 
 def serialize_circuit(circuit: Circuit, path) -> None:
     """Write a circuit as JSON (row-major matrices, application order),
-    one gate per line."""
+    one gate per line. Each distinct matrix is rendered once."""
     head = {"n_qubits": circuit.n_qubits, "format_version": FORMAT_VERSION}
-    gates = ",\n".join(
-        json.dumps({"qubits": list(g.qubits), "matrix": g.matrix.tolist()})
-        for g in circuit.gates
-    )
+    # Distinct by bytes, so -0.0 and 0.0 render apart; a 2x2 and a 4x4
+    # matrix differ in length. Qubits are Python ints, which json renders
+    # as str does.
+    mats, rows = _distinct([g.matrix for g in circuit.gates], np.ndarray.tobytes)
+    rendered = [json.dumps(m.tolist()) for m in mats]
+    lines = []
+    for g, r in zip(circuit.gates, rows):
+        qubits = ", ".join(map(str, g.qubits))
+        lines.append(f'{{"qubits": [{qubits}], "matrix": {rendered[r]}}}')
+    gates = ",\n".join(lines)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f'{json.dumps(head)[:-1]}, "gates": [\n{gates}\n]}}\n')
 
@@ -341,6 +355,85 @@ def _require(obj: dict, key: str, path: str):
     if key not in obj:
         raise SchemaError(f"{path}.{key}", "missing required field")
     return obj[key]
+
+
+def _gate_fields(entry, gpath: str) -> tuple[tuple[int, ...], list]:
+    """The qubits and the matrix rows of one gate entry, their structure
+    (1 or 2 integer qubits, a square matrix of the matching size) checked."""
+    qubits = _require(entry, "qubits", gpath)
+    if (
+        not isinstance(qubits, list)
+        or len(qubits) not in (1, 2)
+        or not all(type(q) is int for q in qubits)
+    ):
+        raise SchemaError(f"{gpath}.qubits", "expected a list of 1 or 2 integers")
+    matrix = _require(entry, "matrix", gpath)
+    want = 2 ** len(qubits)
+    if (
+        not isinstance(matrix, list)
+        or len(matrix) != want
+        or any(not isinstance(r, list) or len(r) != want for r in matrix)
+    ):
+        raise SchemaError(f"{gpath}.matrix", f"expected a {want}x{want} row-major matrix")
+    return tuple(qubits), matrix
+
+
+def _parse_gates(gates_raw: list) -> list[Gate]:
+    """The gates of a circuit file's ``gates`` list.
+
+    Each check runs once over all gates: the structure, then the element
+    types in one scan, then finiteness over one float stack per gate size
+    and distinct qubits. An int past float range is the OverflowError the
+    float conversion of its gate raises. The error raised is the one a
+    gate-by-gate reading meets first, in that order within a gate; each
+    check sees only the gates before the earliest failure found so far.
+    """
+    fields, first = [], None
+    try:
+        for i, entry in enumerate(gates_raw):
+            fields.append(_gate_fields(entry, f"$.gates[{i}]"))
+    except SchemaError as exc:
+        first = exc
+    types = {type(x) for _, m in fields for row in m for x in row}
+    if not types <= {int, float}:
+        t, r, c, x = next(
+            (t, r, c, x)
+            for t, (_, m) in enumerate(fields)
+            for r, row in enumerate(m)
+            for c, x in enumerate(row)
+            if type(x) not in (int, float)
+        )
+        fields, first = fields[:t], SchemaError(
+            f"$.gates[{t}].matrix[{r}][{c}]", f"expected a number, got {x!r}"
+        )
+    if int in types:  # an int past float range fails the float conversion
+        for t, (_, m) in enumerate(fields):
+            try:
+                np.array(m, dtype=float)
+            except OverflowError as exc:
+                fields, first = fields[:t], exc
+                break
+
+    matrices, finite = [None] * len(fields), np.ones(len(fields), dtype=bool)
+    for k in (1, 2):
+        idx = [i for i, (q, _) in enumerate(fields) if len(q) == k]
+        stack = np.array([fields[i][1] for i in idx], dtype=float)
+        stack = stack.reshape(-1, 2**k, 2**k)
+        finite[idx] = np.isfinite(stack).all(axis=(1, 2))
+        for i, mat in zip(idx, stack):
+            matrices[i] = mat
+    repeated = np.array([len(q) == 2 and q[0] == q[1] for q, _ in fields], dtype=bool)
+    bad = np.flatnonzero(~finite | repeated)
+    if bad.size:
+        # The public Gate refuses the first bad gate with its own message.
+        t = int(bad[0])
+        try:
+            Gate(*fields[t])
+        except ValueError as exc:
+            raise SchemaError(f"$.gates[{t}]", str(exc)) from exc
+    if first is not None:
+        raise first
+    return [_gate(q, mat) for (q, _), mat in zip(fields, matrices)]
 
 
 def deserialize_circuit(path) -> Circuit:
@@ -363,37 +456,7 @@ def deserialize_circuit(path) -> Circuit:
     gates_raw = _require(payload, "gates", "$")
     if not isinstance(gates_raw, list):
         raise SchemaError("$.gates", "expected a list")
-
-    gates = []
-    for i, entry in enumerate(gates_raw):
-        gpath = f"$.gates[{i}]"
-        qubits = _require(entry, "qubits", gpath)
-        if (
-            not isinstance(qubits, list)
-            or len(qubits) not in (1, 2)
-            or not all(type(q) is int for q in qubits)
-        ):
-            raise SchemaError(f"{gpath}.qubits", "expected a list of 1 or 2 integers")
-        matrix = _require(entry, "matrix", gpath)
-        want = 2 ** len(qubits)
-        if (
-            not isinstance(matrix, list)
-            or len(matrix) != want
-            or any(not isinstance(r, list) or len(r) != want for r in matrix)
-        ):
-            raise SchemaError(
-                f"{gpath}.matrix", f"expected a {want}x{want} row-major matrix"
-            )
-        if not {type(x) for row in matrix for x in row} <= {int, float}:
-            r, c, x = next(
-                (r, c, x) for r, row in enumerate(matrix) for c, x in enumerate(row)
-                if type(x) not in (int, float)
-            )
-            raise SchemaError(f"{gpath}.matrix[{r}][{c}]", f"expected a number, got {x!r}")
-        try:
-            gates.append(Gate(tuple(qubits), np.array(matrix, dtype=float)))
-        except ValueError as exc:
-            raise SchemaError(gpath, str(exc)) from exc
+    gates = _parse_gates(gates_raw)
     try:
         return Circuit(n_qubits=n_qubits, gates=tuple(gates))
     except ValueError as exc:

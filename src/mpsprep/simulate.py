@@ -104,7 +104,8 @@ def fidelity(a, b) -> float:
 @contextmanager
 def _stage(name: str, timings_ms: dict[str, float]):
     # Time the block into timings_ms[name]; prefix a failure with the
-    # stage name, preserving the exception type.
+    # stage name, preserving the exception type. A message that is not a
+    # str (OverflowError(34, '...') from a float power) is kept as str(exc).
     t0 = time.perf_counter()
     try:
         yield
@@ -112,7 +113,7 @@ def _stage(name: str, timings_ms: dict[str, float]):
         if exc.args and isinstance(exc.args[0], str):
             exc.args = (f"{name} stage: {exc.args[0]}",) + exc.args[1:]
         else:
-            exc.args = (f"{name} stage failed",) + exc.args
+            exc.args = (f"{name} stage: {exc}" if exc.args else f"{name} stage failed",)
         raise
     timings_ms[name] = (time.perf_counter() - t0) * 1e3
 

@@ -305,6 +305,24 @@ class TestValidateCircuit:
                 validate_circuit(doubled, tol=bad)
         assert validate_circuit(doubled, tol=np.float32(4.0)).ok
 
+    def test_batched_deviation_matches_each_gate(self, rng):
+        # validate_circuit takes A^T A over stacks of same-size gates; the
+        # per-gate method is the reference, and the issue texts follow it.
+        mats = [rng.standard_normal((4, 4)), np.eye(2) * 1.5, np.eye(4)]
+        mats += [np.linalg.qr(rng.standard_normal((4, 4)))[0] + 1e-9, np.eye(2)]
+        qubits = [(0, 1), (3,), (1, 2), (2, 3), (0,)]
+        gates = tuple(map(Gate, qubits, mats))
+        report = validate_circuit(Circuit(n_qubits=4, gates=gates))
+        devs = [g.orthogonality_deviation() for g in gates]
+        assert report.max_orthogonality_deviation == pytest.approx(max(devs), rel=1e-15)
+        want = [
+            f"gate {i} on {g.qubits} deviates from orthogonality by {d:.3e}"
+            for i, (g, d) in enumerate(zip(gates, devs))
+            if d > 1e-10
+        ]
+        assert [t for t in report.issues if "orthogonality" in t] == want
+        assert len(want) == 3
+
     def test_flags_gate_past_layout(self, rng):
         circ = extract_circuit(random_mps(3, 2, rng).normalize())
         extra = Circuit(n_qubits=3, gates=circ.gates + (circ.gates[-1],))

@@ -101,6 +101,32 @@ class TestMpsConstructor:
         for c in m.cores + mirrored.cores:
             assert c.flags.c_contiguous and not c.flags.writeable
 
+    def test_repeated_core_object_is_one_read_only_copy(self):
+        # A compressed chain repeats one |+> core object along its tail.
+        plus = np.full((1, 2, 1), np.sqrt(0.5))
+        m = Mps([plus] * 5)
+        assert all(c is m.cores[0] for c in m.cores) and m.cores[0] is not plus
+        before = m.to_statevector()
+        plus[...] = 7.0
+        assert np.array_equal(m.to_statevector(), before)
+        assert np.allclose(before, np.full(32, 0.5**2.5), rtol=1e-15, atol=0)
+        for c in m.cores:
+            assert c.flags.c_contiguous and not c.flags.writeable
+        with pytest.raises(ValueError):
+            m.cores[3][0, 0, 0] = 5.0
+
+    def test_repeated_non_finite_core_names_its_first_index(self):
+        good, bad = np.ones((1, 2, 1)), np.full((1, 2, 1), np.nan)
+        with pytest.raises(ValueError, match="^core 2 contains non-finite"):
+            Mps([good, good, bad, good, bad, bad])
+
+    def test_a_generator_of_temporary_cores(self, rng):
+        # Each core is a temporary; a later one may reuse a freed core's
+        # address and must not be taken for it.
+        src = random_mps(6, 2, rng)
+        m = Mps(c.copy() for c in src.cores)
+        assert all(np.array_equal(a, b) for a, b in zip(m.cores, src.cores))
+
 
 class TestAmplitude:
     def test_product_of_ones(self):

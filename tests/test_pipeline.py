@@ -492,7 +492,121 @@ class TestOracleCompare:
         assert max(abs(r - ratios[0]) for r in ratios) <= 0.01
 
 
+def _per_gate_reference(circuit) -> bytes:
+    """The circuit file as one json.dumps per gate writes it."""
+    head = {"n_qubits": circuit.n_qubits, "format_version": "1"}
+    gates = ",\n".join(
+        json.dumps({"qubits": list(g.qubits), "matrix": g.matrix.tolist()})
+        for g in circuit.gates
+    )
+    return f'{json.dumps(head)[:-1]}, "gates": [\n{gates}\n]}}\n'.encode()
+
+
+def _mutate(gate: dict, fault: str, t: int) -> None:
+    if fault == "nan":
+        gate["matrix"][0][3] = float("nan")
+    elif fault == "str":
+        gate["matrix"][2][3] = "x"
+    elif fault == "repeat":
+        gate["qubits"] = [t, t]
+    elif fault == "no-matrix":
+        del gate["matrix"]
+    elif fault == "range":
+        gate["qubits"] = [t, 9]
+    elif fault == "huge":
+        gate["matrix"][1][2] = 10**400
+
+
+def _faulty_file(tmp_path, faults):
+    """A 4-gate staircase file on 5 qubits with ``faults`` (gate, kind) applied."""
+    gates = [{"qubits": [t, t + 1], "matrix": np.eye(4).tolist()} for t in range(4)]
+    for t, fault in faults:
+        _mutate(gates[t], fault, t)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n_qubits": 5, "format_version": "1", "gates": gates}))
+    return path
+
+
+NON_FINITE = "gate matrix contains non-finite entries"
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("n", [64, 1023])
+    def test_bytes_match_a_per_gate_reference(self, tmp_path, n):
+        circuit = build_pipeline(gaussian_config().spec, n).circuit
+        path = tmp_path / "c.json"
+        serialize_circuit(circuit, path)
+        assert path.read_bytes() == _per_gate_reference(circuit)
+
+    def test_roundtrip_keeps_the_sign_of_zero(self, tmp_path):
+        # -0.0 and 0.0 compare equal but are different bits: gates 0 and 1
+        # must not share one rendering.
+        pos = np.eye(4)
+        neg = np.where(pos == 0.0, -0.0, pos)
+        single = np.array([[0.0, 1.0], [1.0, -0.0]])
+        gates = (Gate((0, 1), pos), Gate((1, 2), neg), Gate((2,), single))
+        circuit = Circuit(n_qubits=3, gates=gates)
+        path = tmp_path / "c.json"
+        serialize_circuit(circuit, path)
+        assert path.read_bytes() == _per_gate_reference(circuit)
+        back = deserialize_circuit(path)
+        for a, b in zip(circuit.gates, back.gates):
+            assert a.qubits == b.qubits
+            assert np.array_equal(a.matrix, b.matrix)
+            assert np.array_equal(np.signbit(a.matrix), np.signbit(b.matrix))
+        assert np.signbit(back.gates[1].matrix).sum() == 12
+        assert not np.signbit(back.gates[0].matrix).any()
+
+    @pytest.mark.parametrize(
+        "faults, match",
+        [
+            ([(1, "nan"), (3, "str")], rf"^\$\.gates\[1\]: {NON_FINITE}$"),
+            (
+                [(1, "str"), (3, "nan")],
+                r"^\$\.gates\[1\]\.matrix\[2\]\[3\]: expected a number, got 'x'$",
+            ),
+            ([(1, "repeat"), (1, "nan")], rf"^\$\.gates\[1\]: {NON_FINITE}$"),
+            (
+                [(1, "repeat"), (3, "no-matrix")],
+                r"^\$\.gates\[1\]: gate qubits must be distinct; qubit 1 is repeated$",
+            ),
+            (
+                [(1, "no-matrix"), (3, "nan")],
+                r"^\$\.gates\[1\]\.matrix: missing required field$",
+            ),
+            ([(0, "range"), (1, "nan")], rf"^\$\.gates\[1\]: {NON_FINITE}$"),
+            (
+                [(0, "range")],
+                r"^\$\.gates: gate qubit 9 outside register of size 5$",
+            ),
+        ],
+        ids=[
+            "nan-then-str",
+            "str-then-nan",
+            "nan-beats-repeat-in-one-gate",
+            "repeat-then-no-matrix",
+            "no-matrix-then-nan",
+            "nan-beats-register-range",
+            "register-range",
+        ],
+    )
+    def test_reports_the_first_failure_in_gate_order(self, tmp_path, faults, match):
+        # The checks run over all gates at once; the error is the one a
+        # gate-by-gate reading meets first.
+        with pytest.raises(SchemaError, match=match):
+            deserialize_circuit(_faulty_file(tmp_path, faults))
+
+    def test_an_int_past_float_range_keeps_its_place(self, tmp_path):
+        # The float conversion raises a bare OverflowError for such an int,
+        # in gate order with the other checks.
+        with pytest.raises(OverflowError, match="int too large to convert to float"):
+            deserialize_circuit(_faulty_file(tmp_path, [(1, "huge"), (3, "nan")]))
+        with pytest.raises(SchemaError, match=rf"^\$\.gates\[1\]: {NON_FINITE}$"):
+            deserialize_circuit(_faulty_file(tmp_path, [(1, "nan"), (3, "huge")]))
+        path = _faulty_file(tmp_path, [(1, "str"), (1, "huge")])
+        with pytest.raises(SchemaError, match=r"^\$\.gates\[1\]\.matrix\[2\]\[3\]: "):
+            deserialize_circuit(path)
+
     def test_lossless_roundtrip(self, tmp_path, rng):
         from conftest import random_mps
         from mpsprep import extract_circuit

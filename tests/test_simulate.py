@@ -14,6 +14,7 @@ from mpsprep import (
     run,
     target_amplitudes,
 )
+from mpsprep.simulate import _stage
 from conftest import FAMILIES, NARROW_LORENTZIAN, polyval_values, random_mps
 
 
@@ -61,6 +62,31 @@ class TestRun:
         monkeypatch.setenv("MPSPREP_DENSE_LIMIT", "2")
         with pytest.raises(ValueError, match="limit"):
             run(Circuit(n_qubits=3, gates=()))
+
+
+class TestStage:
+    def test_keeps_a_message_that_is_not_a_str(self):
+        # A float power past range raises OverflowError(34, "..."); the stage
+        # prefix must keep its cause and its type, and record no timing.
+        timings = {}
+        with pytest.raises(
+            OverflowError, match=r"^fit stage: .*Numerical result out of range"
+        ) as info:
+            with _stage("fit", timings):
+                raise OverflowError(34, "Numerical result out of range")
+        assert info.value.args == ("fit stage: (34, 'Numerical result out of range')",)
+        assert timings == {}
+
+    def test_prefixes_a_str_message_and_keeps_the_rest(self):
+        with pytest.raises(KeyError) as info:
+            with _stage("compress", {}):
+                raise KeyError("missing", 3)
+        assert info.value.args == ("compress stage: missing", 3)
+
+    def test_names_the_stage_of_a_bare_exception(self):
+        with pytest.raises(ZeroDivisionError, match="^extract stage failed$"):
+            with _stage("extract", {}):
+                raise ZeroDivisionError
 
 
 class TestFidelity:
