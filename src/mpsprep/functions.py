@@ -43,6 +43,7 @@ __all__ = [
 _KINDS = ("gaussian", "lognormal", "lorentzian", "custom")
 _TINY = float(np.finfo(float).tiny)
 _BLOCK = 2**16  # grid points per block of target_amplitudes
+_SAMPLES_PER_REGION = 64  # the fit's default, also RunConfig's
 
 
 @dataclass(frozen=True)
@@ -256,7 +257,7 @@ def fit_piecewise(
     grid: Grid,
     support_bit: int,
     degree: int,
-    samples_per_region: int = 64,
+    samples_per_region: int = _SAMPLES_PER_REGION,
 ) -> PiecewisePoly:
     """Least-squares fit of sqrt(pdf) over each region separately.
 

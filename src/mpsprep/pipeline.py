@@ -9,19 +9,20 @@ degrees, or system sizes and emit rows with a stable column order, so
 repeated campaigns diff cleanly (timing columns excepted). Circuits
 round-trip losslessly through a small JSON schema.
 
-A circuit file is checked once, at the boundary, over all its gates:
-each gate's structure (qubits, matrix shape) as it is read, then the
-element types in one scan and finiteness over one float stack per gate
-size, then distinct qubits. The first failure in gate order is
-reported, as a gate-by-gate reading would report it. The checked gates
-are built without the public :class:`Gate` checks, and the register
-range is :class:`Circuit`'s. Writing renders each distinct matrix once.
+A circuit file is read in one pass: each gate's qubits, matrix shape,
+element types and int range are checked as it is read, up to the first
+failure; the gates before it are checked for finiteness and distinct
+qubits over one float stack per gate size. The error is the first a
+gate-by-gate reading meets. Checked gates skip the public :class:`Gate`
+checks; :class:`Circuit` checks the register range last. Writing
+renders each distinct matrix once.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields, replace
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -358,8 +359,8 @@ def _require(obj: dict, key: str, path: str):
 
 
 def _gate_fields(entry, gpath: str) -> tuple[tuple[int, ...], list]:
-    """The qubits and the matrix rows of one gate entry, their structure
-    (1 or 2 integer qubits, a square matrix of the matching size) checked."""
+    """The qubits and matrix rows of one gate entry, checked in order: qubits,
+    matrix shape, entry types (first offender row-major), then int range."""
     qubits = _require(entry, "qubits", gpath)
     if (
         not isinstance(qubits, list)
@@ -375,18 +376,34 @@ def _gate_fields(entry, gpath: str) -> tuple[tuple[int, ...], list]:
         or any(not isinstance(r, list) or len(r) != want for r in matrix)
     ):
         raise SchemaError(f"{gpath}.matrix", f"expected a {want}x{want} row-major matrix")
+    if not {float}.issuperset(map(type, chain.from_iterable(matrix))):
+        # Not all floats (the writer's entries): find the first offender.
+        cells = [
+            (f"{gpath}.matrix[{r}][{c}]", x)
+            for r, row in enumerate(matrix)
+            for c, x in enumerate(row)
+        ]
+        for path, x in cells:
+            if type(x) not in (int, float):
+                raise SchemaError(path, f"expected a number, got {x!r}")
+        for path, x in cells:
+            try:
+                float(x)
+            except OverflowError:
+                msg = f"expected a number that fits a float, got a {x.bit_length()}-bit int"
+                raise SchemaError(path, msg) from None
     return tuple(qubits), matrix
 
 
 def _parse_gates(gates_raw: list) -> list[Gate]:
-    """The gates of a circuit file's ``gates`` list.
+    """The gates of a circuit file's ``gates`` list, read in one pass.
 
-    Each check runs once over all gates: the structure, then the element
-    types in one scan, then finiteness over one float stack per gate size
-    and distinct qubits. An int past float range is the OverflowError the
-    float conversion of its gate raises. The error raised is the one a
-    gate-by-gate reading meets first, in that order within a gate; each
-    check sees only the gates before the earliest failure found so far.
+    Each gate is checked by :func:`_gate_fields` as it is read, up to the
+    first failure. The gates before it become one float stack per gate
+    size; the first of them that is non-finite or repeats a qubit is
+    refused by the public :class:`Gate` with its own message, and only
+    then is that failure raised. So the error is the one a gate-by-gate
+    reading meets first.
     """
     fields, first = [], None
     try:
@@ -394,30 +411,11 @@ def _parse_gates(gates_raw: list) -> list[Gate]:
             fields.append(_gate_fields(entry, f"$.gates[{i}]"))
     except SchemaError as exc:
         first = exc
-    types = {type(x) for _, m in fields for row in m for x in row}
-    if not types <= {int, float}:
-        t, r, c, x = next(
-            (t, r, c, x)
-            for t, (_, m) in enumerate(fields)
-            for r, row in enumerate(m)
-            for c, x in enumerate(row)
-            if type(x) not in (int, float)
-        )
-        fields, first = fields[:t], SchemaError(
-            f"$.gates[{t}].matrix[{r}][{c}]", f"expected a number, got {x!r}"
-        )
-    if int in types:  # an int past float range fails the float conversion
-        for t, (_, m) in enumerate(fields):
-            try:
-                np.array(m, dtype=float)
-            except OverflowError as exc:
-                fields, first = fields[:t], exc
-                break
-
     matrices, finite = [None] * len(fields), np.ones(len(fields), dtype=bool)
     for k in (1, 2):
         idx = [i for i, (q, _) in enumerate(fields) if len(q) == k]
-        stack = np.array([fields[i][1] for i in idx], dtype=float)
+        rows = chain.from_iterable(fields[i][1] for i in idx)
+        stack = np.fromiter(chain.from_iterable(rows), float, 4**k * len(idx))
         stack = stack.reshape(-1, 2**k, 2**k)
         finite[idx] = np.isfinite(stack).all(axis=(1, 2))
         for i, mat in zip(idx, stack):
@@ -425,7 +423,6 @@ def _parse_gates(gates_raw: list) -> list[Gate]:
     repeated = np.array([len(q) == 2 and q[0] == q[1] for q, _ in fields], dtype=bool)
     bad = np.flatnonzero(~finite | repeated)
     if bad.size:
-        # The public Gate refuses the first bad gate with its own message.
         t = int(bad[0])
         try:
             Gate(*fields[t])

@@ -35,6 +35,7 @@ import numpy as np
 
 from .circuits import Circuit, circuit_to_mps, extract_circuit
 from .functions import (
+    _SAMPLES_PER_REGION,
     DistributionSpec,
     Grid,
     PiecewisePoly,
@@ -126,7 +127,7 @@ class RunConfig:
     n_qubits: int
     support_bit: int = 3
     degree: int = 3
-    samples_per_region: int = 64
+    samples_per_region: int = _SAMPLES_PER_REGION
     compression: CompressionOptions = CompressionOptions()
 
     def __post_init__(self):

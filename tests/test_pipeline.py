@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpsprep import (
     CSV_COLUMNS,
@@ -507,27 +509,56 @@ def _mutate(gate: dict, fault: str, t: int) -> None:
         gate["matrix"][0][3] = float("nan")
     elif fault == "str":
         gate["matrix"][2][3] = "x"
+    elif fault == "bool":
+        gate["matrix"][2][0] = True
     elif fault == "repeat":
         gate["qubits"] = [t, t]
     elif fault == "no-matrix":
         del gate["matrix"]
+    elif fault == "shape":
+        gate["matrix"] = np.eye(2).tolist()
     elif fault == "range":
         gate["qubits"] = [t, 9]
     elif fault == "huge":
         gate["matrix"][1][2] = 10**400
 
 
-def _faulty_file(tmp_path, faults):
-    """A 4-gate staircase file on 5 qubits with ``faults`` (gate, kind) applied."""
-    gates = [{"qubits": [t, t + 1], "matrix": np.eye(4).tolist()} for t in range(4)]
-    for t, fault in faults:
+def _faulty_gates(faults, n_gates=4) -> list:
+    """A staircase of ``n_gates`` identity gates with ``faults`` (gate, kind)
+    applied. On one gate, "repeat" overrides "range", and "no-matrix" and
+    "shape" replace the matrix the entry faults write into."""
+    gates = [{"qubits": [t, t + 1], "matrix": np.eye(4).tolist()} for t in range(n_gates)]
+    order = {"range": 0, "no-matrix": 2, "shape": 2}
+    for t, fault in sorted(faults, key=lambda f: order.get(f[1], 1)):
         _mutate(gates[t], fault, t)
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"n_qubits": 5, "format_version": "1", "gates": gates}))
+    return gates
+
+
+def _circuit_file(path, gates, n_qubits):
+    payload = {"n_qubits": n_qubits, "format_version": "1", "gates": gates}
+    path.write_text(json.dumps(payload))
     return path
 
 
+def _faulty_file(tmp_path, faults):
+    """A 4-gate staircase file on 5 qubits with ``faults`` (gate, kind) applied."""
+    return _circuit_file(tmp_path / "bad.json", _faulty_gates(faults), 5)
+
+
+def _error(path):
+    """The type and message of the error reading ``path`` raises, or None."""
+    try:
+        deserialize_circuit(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
 NON_FINITE = "gate matrix contains non-finite entries"
+HUGE = (
+    r"^\$\.gates\[1\]\.matrix\[1\]\[2\]: "
+    r"expected a number that fits a float, got a 1329-bit int$"
+)
 
 
 class TestSerialization:
@@ -597,15 +628,46 @@ class TestSerialization:
             deserialize_circuit(_faulty_file(tmp_path, faults))
 
     def test_an_int_past_float_range_keeps_its_place(self, tmp_path):
-        # The float conversion raises a bare OverflowError for such an int,
-        # in gate order with the other checks.
-        with pytest.raises(OverflowError, match="int too large to convert to float"):
+        # Such an int is a SchemaError at its path, in gate order with the
+        # other checks.
+        with pytest.raises(SchemaError, match=HUGE):
             deserialize_circuit(_faulty_file(tmp_path, [(1, "huge"), (3, "nan")]))
         with pytest.raises(SchemaError, match=rf"^\$\.gates\[1\]: {NON_FINITE}$"):
             deserialize_circuit(_faulty_file(tmp_path, [(1, "nan"), (3, "huge")]))
         path = _faulty_file(tmp_path, [(1, "str"), (1, "huge")])
         with pytest.raises(SchemaError, match=r"^\$\.gates\[1\]\.matrix\[2\]\[3\]: "):
             deserialize_circuit(path)
+
+    @given(
+        faults=st.lists(
+            st.tuples(
+                st.integers(0, 4),
+                st.sampled_from(
+                    ["nan", "str", "bool", "repeat", "no-matrix", "shape", "huge", "range"]
+                ),
+            ),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_error_is_that_of_the_shortest_failing_prefix(self, tmp_path_factory, faults):
+        # The prefix files have a register wide enough for qubit 9, so only
+        # per-gate faults fail them; the register range is checked last, so
+        # a "range" fault is reported only when no gate has another fault.
+        tmp = tmp_path_factory.mktemp("faults")
+        gates = _faulty_gates(faults, n_gates=5)
+        whole = _error(_circuit_file(tmp / "whole.json", gates, 6))
+        for m in range(1, 6):
+            first = _error(_circuit_file(tmp / f"prefix{m}.json", gates[:m], 10))
+            if first is not None:
+                assert first[1].startswith(f"$.gates[{m - 1}]")
+                break
+        else:
+            first = (SchemaError, "$.gates: gate qubit 9 outside register of size 6")
+        assert whole == first
+        assert ("register" in whole[1]) == all(kind == "range" for _, kind in faults)
 
     def test_lossless_roundtrip(self, tmp_path, rng):
         from conftest import random_mps
@@ -783,6 +845,12 @@ class TestCli:
         path.write_text(json.dumps(payload))
         assert main(["validate", str(path)]) == 3
         assert "$.gates[1]: gate matrix contains non-finite" in capsys.readouterr().err
+
+    def test_validate_rejects_an_int_past_float_range(self, tmp_path, capsys):
+        path = _faulty_file(tmp_path, [(1, "huge")])
+        assert main(["validate", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "$.gates[1].matrix[1][2]: expected a number that fits a float" in err
 
     def test_sweep_sigma_csv(self, tmp_path):
         out = tmp_path / "rows.csv"
