@@ -95,7 +95,11 @@ class DistributionSpec:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform discretization of [a, b] into 2^N points, endpoints included."""
+    """Uniform discretization of [a, b] into 2^N points, endpoints included.
+
+    The spacing width / (2^N - 1) is formed as 2^-N width / (1 - 2^-N), so
+    its floor, checked here, is the only limit on N.
+    """
 
     n_qubits: int
     a: float
@@ -112,7 +116,7 @@ class Grid:
         if not math.isfinite(self.width):
             raise ValueError(f"domain width {self.width} is not finite")
         # Exact rational test: 2^N - 1 overflows a float from N = 1024 on.
-        if Fraction(self.width) < Fraction(_TINY) * self.n_intervals:
+        if Fraction(self.width) < Fraction(_TINY) * (self.size - 1):
             raise ValueError(
                 f"{self.n_qubits} qubits on a domain of width {self.width:g} give a "
                 f"grid spacing below the smallest normal float ({_TINY:.3g})"
@@ -131,55 +135,49 @@ class Grid:
         return self.b - self.a
 
     @property
-    def n_intervals(self) -> int:
-        return self.size - 1
-
-    @property
     def spacing(self) -> float:
-        return self.width / self.n_intervals
+        n = self.n_qubits
+        return math.ldexp(self.width, -n) / (1 - math.ldexp(1.0, -n))
 
     def points(self) -> np.ndarray:
         _check_dense(self.n_qubits, "Grid.points")
         return np.linspace(self.a, self.b, self.size)
 
 
-def pdf(spec: DistributionSpec, x):
-    """Evaluate the density at x (scalar or array)."""
-    xs = np.asarray(x, dtype=float)
-    mu, sigma = spec.mu, spec.sigma
-    if spec.kind == "gaussian":
-        out = np.exp(-((xs - mu) ** 2) / (2 * sigma**2)) / (np.sqrt(2 * np.pi) * sigma)
-    elif spec.kind == "lognormal":
+def _z(spec: DistributionSpec, xs: np.ndarray) -> np.ndarray:
+    """(x - mu) / sigma for a built-in density, with ln x for the lognormal."""
+    if spec.kind == "lognormal":
         if np.any(xs <= 0):
             raise ValueError("lognormal density requires x > 0")
-        g = np.exp(-((np.log(xs) - mu) ** 2) / (2 * sigma**2)) / (
-            np.sqrt(2 * np.pi) * sigma
-        )
-        out = g / xs
-    elif spec.kind == "lorentzian":
-        out = (sigma / np.pi) / ((xs - mu) ** 2 + sigma**2)
-    else:
+        xs = np.log(xs)
+    return (xs - spec.mu) / spec.sigma
+
+
+def pdf(spec: DistributionSpec, x):
+    """Evaluate the density at x (scalar or array); a built-in in z, never sigma^2."""
+    xs = np.asarray(x, dtype=float)
+    if spec.kind == "custom":
         out = np.asarray(spec.pdf_fn(xs), dtype=float)
+    elif spec.kind == "lorentzian":
+        out = (1 / math.pi / spec.sigma) / (1.0 + _z(spec, xs) ** 2)
+    else:
+        out = np.exp(-0.5 * _z(spec, xs) ** 2) * (1 / math.sqrt(math.tau) / spec.sigma)
+        if spec.kind == "lognormal":
+            out = out / xs
     return out if out.ndim else float(out)
 
 
 def pdf_derivative(spec: DistributionSpec, x):
-    """Closed-form density derivative for the built-ins (array friendly)."""
+    """Closed-form density derivative for the built-ins: pdf times its log-slope."""
     xs = np.asarray(x, dtype=float)
-    mu, sigma = spec.mu, spec.sigma
-    if spec.kind == "gaussian":
-        out = -pdf(spec, xs) * (xs - mu) / sigma**2
-    elif spec.kind == "lognormal":
-        if np.any(xs <= 0):
-            raise ValueError("lognormal density requires x > 0")
-        g = np.exp(-((np.log(xs) - mu) ** 2) / (2 * sigma**2)) / (
-            np.sqrt(2 * np.pi) * sigma
-        )
-        out = -g * (1.0 + (np.log(xs) - mu) / sigma**2) / xs**2
-    elif spec.kind == "lorentzian":
-        out = -(2 * sigma / np.pi) * (xs - mu) / ((xs - mu) ** 2 + sigma**2) ** 2
-    else:
+    if spec.kind == "custom":
         raise ValueError("no closed-form derivative for custom distributions")
+    z, p = _z(spec, xs), pdf(spec, xs)
+    if spec.kind == "lognormal":
+        out = -p * (1.0 + z / spec.sigma) / xs
+    else:
+        slope = z if spec.kind == "gaussian" else 2.0 * z / (1.0 + z * z)
+        out = -p * slope / spec.sigma
     return out if out.ndim else float(out)
 
 
@@ -216,12 +214,12 @@ def target_amplitudes(spec: DistributionSpec, n_qubits: int) -> np.ndarray:
     return out
 
 
-def _block(n_qubits: int, support_bit: int) -> int:
-    """Grid points per region, 2^(N-k), for a valid support bit k."""
+def _support_bit(n_qubits: int, support_bit) -> int:
+    """The support bit k, checked to be an int in [0, N)."""
     support_bit = _as_int(support_bit, "support_bit")
     if not 0 <= support_bit < n_qubits:
         raise ValueError(f"support_bit must be in [0, {n_qubits}), got {support_bit}")
-    return 2 ** (n_qubits - support_bit)
+    return support_bit
 
 
 @dataclass(frozen=True)
@@ -230,7 +228,7 @@ class PiecewisePoly:
 
     Coefficients are lowest-degree first in the region coordinate
     v = 2 (x - x_start) / span - 1, span being the region's first-to-last
-    grid distance: v runs over -1, -1 + 2/(block-1), ..., 1 in every
+    grid distance: v runs over -1, -1 + 2/(2^(N-k) - 1), ..., 1 in every
     region. No continuity is enforced at region boundaries.
     """
 
@@ -261,12 +259,14 @@ def fit_piecewise(
 ) -> PiecewisePoly:
     """Least-squares fit of sqrt(pdf) over each region separately.
 
-    Every region is sampled at the same ``samples_per_region`` values of
-    u = linspace(0, 1), i.e. at x = x_start + u * span, and the samples
-    are divided by the largest one. All regions are then fit in one
-    least-squares solve for the powers of v = 2u - 1, one right-hand side
-    per region. Regions are fit independently and may be discontinuous at
-    the seams.
+    Region r starts at x_r = a + r 2^-k width / (1 - 2^-N) and spans
+    (1 - 2^(k-N)) 2^(N-k) spacing, so no 2^N or grid index becomes a
+    float. Every region is sampled at the same ``samples_per_region``
+    values of u = linspace(0, 1), i.e. at x = x_r + u * span, and the
+    samples are divided by the largest one. All regions are then fit in
+    one least-squares solve for the powers of v = 2u - 1, one right-hand
+    side per region. Regions are fit independently and may be
+    discontinuous at the seams.
     """
     degree = _as_int(degree, "degree")
     if degree < 0:
@@ -276,11 +276,10 @@ def fit_piecewise(
             f"need at least degree+1={degree + 1} samples per region, "
             f"got {samples_per_region}"
         )
-    block = _block(grid.n_qubits, support_bit)
-    # Region starts in Python scalars: an int64 grid index overflows from N = 64.
-    firsts = range(0, grid.size, block)
-    starts = np.array([grid.a + i * grid.width / grid.n_intervals for i in firsts])
-    span = (block - 1) * grid.spacing
+    n, k = grid.n_qubits, _support_bit(grid.n_qubits, support_bit)
+    step = math.ldexp(grid.width, -k)  # r * step first: rounds as i * width / (2^N - 1)
+    starts = grid.a + np.arange(2**k) * step / (1 - math.ldexp(1.0, -n))
+    span = (1 - math.ldexp(1.0, k - n)) * math.ldexp(grid.spacing, n - k)
     us = np.linspace(0.0, 1.0, samples_per_region)
     ys = _sqrt_density(spec, starts[:, None] + us * span)
     peak = ys.max()
@@ -288,7 +287,7 @@ def fit_piecewise(
         raise ValueError("density vanishes on every fit sample")
     design = np.polynomial.polynomial.polyvander(2.0 * us - 1.0, degree)
     coeffs = np.linalg.lstsq(design, (ys / peak).T, rcond=None)[0]
-    return PiecewisePoly(support_bit, degree, tuple(map(tuple, coeffs.T)))
+    return PiecewisePoly(k, degree, tuple(map(tuple, coeffs.T)))
 
 
 def _binomial_shift(tau, degree: int) -> np.ndarray:
@@ -326,16 +325,16 @@ def assemble(pp: PiecewisePoly, grid: Grid) -> Mps:
     emits each region's coefficients; sites k..N-1 carry the monomial
     basis of the region coordinate v through shared binomial-transfer
     cores of bond degree+1. Bit s of site j moves v by (2s - 1) * tau_j,
-    tau_j = 2^(N-1-j) / (block-1) with block = 2^(N-k); the tau_j sum to 1,
-    so v spans [-1, 1] and the fit's coefficients enter unchanged. The
+    tau_j = 2^(k-1-j) / (1 - 2^(k-N)); the tau_j sum to 1, so v spans
+    [-1, 1] and the fit's coefficients enter unchanged. The
     result is the fit itself, read by the verify stage for the fit error.
     It is not normalized; normalization happens once, before gate
     extraction.
     """
-    k, n, width = pp.support_bit, grid.n_qubits, pp.degree + 1
-    block = _block(n, k)
+    n, width = grid.n_qubits, pp.degree + 1
+    k = _support_bit(n, pp.support_bit)
     coeffs = np.array(pp.regions, dtype=float)
-    taus = 2.0 ** np.arange(n - 1 - k, -1, -1) / (block - 1)
+    taus = np.ldexp(1.0, np.arange(-1, k - n - 1, -1)) / (1 - math.ldexp(1.0, k - n))
     shift = _binomial_shift(taus, pp.degree)
     # The shift by -tau flips the odd powers of tau: exact, and it spares
     # numpy's pow its slow path for negative bases.

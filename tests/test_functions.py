@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -537,6 +539,74 @@ class TestAssemble:
             for spec in others:
                 got = encode(RunConfig(spec=spec, n_qubits=12, degree=p))[1].fidelity
                 assert abs(got - want) <= 1e-12
+
+
+def _gates_and_fidelity(spec, n=12):
+    circuit, report = encode(RunConfig(spec=spec, n_qubits=n))
+    gates = [(g.qubits, np.asarray(g.matrix).tobytes()) for g in circuit.gates]
+    return gates, report.fidelity
+
+
+class TestScaleAndLength:
+    """No float limit on N or scale beyond Grid's floor and DistributionSpec."""
+
+    SCALES = (-1000, -560, -520, 0, 520, 600, 1000)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "lorentzian"])
+    def test_scaling_by_powers_of_two_is_exact(self, kind):
+        # domain, mu and sigma times 2^e: every grid point, z and density
+        # scales exactly, so the circuit does not change by a bit
+        def scaled(e):
+            t = math.ldexp(1.0, e)
+            return DistributionSpec(kind, mu=t, sigma=0.44 * t, domain=(0.0, 2.0 * t))
+
+        want = _gates_and_fidelity(scaled(0))
+        for e in self.SCALES:
+            assert _gates_and_fidelity(scaled(e)) == want, e
+
+    def test_lognormal_scaling_keeps_fidelity(self):
+        # the domain times 2^e moves ln x, and so mu, by e ln 2
+        def scaled(e):
+            t = math.ldexp(1.0, e)
+            return DistributionSpec(
+                "lognormal", mu=e * math.log(2), sigma=0.44, domain=(0.125 * t, 5.0 * t)
+            )
+
+        want = _gates_and_fidelity(scaled(0))[1]
+        for e in self.SCALES:
+            assert abs(_gates_and_fidelity(scaled(e))[1] - want) <= 1e-14, e
+
+    @pytest.mark.parametrize("kind", ["gaussian", "lorentzian"])
+    def test_widest_domains_keep_fidelity(self, kind):
+        # mu = s/2, sigma = s/10 on [0, s]: pi sigma (1 + z^2) overflows here,
+        # so the density must never form that product
+        def spec(s):
+            return DistributionSpec(kind, mu=0.5 * s, sigma=0.1 * s, domain=(0.0, s))
+
+        want = _gates_and_fidelity(spec(1.0))[1]
+        for s in (1e308, math.ldexp(1.0, 1023)):
+            assert abs(_gates_and_fidelity(spec(s))[1] - want) <= 1e-14, s
+
+    def test_long_chain_fit_matches_n64(self):
+        # from N = 57 on, the region starts and span round to the same
+        # floats: 2^N never becomes a float, so no region is lost to inf
+        spec = DistributionSpec("lognormal", mu=1.0, sigma=0.44, domain=(0.0, 5.0))
+        want = fit_piecewise(spec, Grid.for_spec(spec, 64), 3, 3).regions
+        for n in (1022, 1023, 1024):
+            assert fit_piecewise(spec, Grid.for_spec(spec, n), 3, 3).regions == want, n
+        with pytest.raises(ValueError, match="1025 qubits"):  # 1024 is the longest
+            Grid.for_spec(spec, 1025)
+
+    @pytest.mark.parametrize(
+        "spec, n",
+        [
+            (DistributionSpec("lognormal", 1.0, 0.44, (0.0, 5.0)), 1024),
+            (DistributionSpec("gaussian", 5e299, 1e299, (0.125, 1e300)), 2000),
+        ],
+    )
+    def test_encode_runs_at_lengths_grid_accepts(self, spec, n):
+        circuit, report = encode(RunConfig(spec=spec, n_qubits=n))
+        assert circuit.n_qubits == n and report.fidelity >= 0.999
 
 
 class TestDiscretizationRefinement:

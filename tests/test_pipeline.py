@@ -811,6 +811,12 @@ class TestCli:
         assert code == 0
         assert json.loads(rep.read_text())["config"]["domain"] == [0.125, 5.0]
 
+    def test_encode_runs_at_the_longest_default_lognormal_grid(self, capsys):
+        # the default domain [0.125, 5] allows N <= 1024, and every such N runs
+        argv = ["encode", "--dist", "lognormal", "--sigma", "0.44", "--n", "1024"]
+        assert main(argv) == 0
+        assert "fidelity" in capsys.readouterr().out
+
     def test_validate_roundtrip(self, tmp_path, capsys):
         circ = tmp_path / "circuit.json"
         assert main(["encode", "--n", "6", "--out", str(circ)]) == 0
