@@ -42,7 +42,7 @@ __all__ = [
 
 _KINDS = ("gaussian", "lognormal", "lorentzian", "custom")
 _TINY = float(np.finfo(float).tiny)
-_BLOCK = 2**16  # grid points per block of target_amplitudes
+_BLOCK = 2**16  # grid points per block of the target
 _SAMPLES_PER_REGION = 64  # the fit's default, also RunConfig's
 
 
@@ -144,69 +144,126 @@ class Grid:
         return np.linspace(self.a, self.b, self.size)
 
 
-def _z(spec: DistributionSpec, xs: np.ndarray) -> np.ndarray:
-    """(x - mu) / sigma for a built-in density, with ln x for the lognormal."""
+def _ln_x(xs: np.ndarray) -> np.ndarray:
+    """ln x for the lognormal, which requires x > 0."""
+    if np.any(xs <= 0):
+        raise ValueError("lognormal density requires x > 0")
+    return np.log(xs)
+
+
+def _z(
+    spec: DistributionSpec, xs: np.ndarray, ln_x: np.ndarray | None = None
+) -> np.ndarray:
+    """(x - mu) / sigma for a built-in density; the lognormal's is
+    (ln x - mu) / sigma, from ``ln_x`` when the caller has taken it."""
     if spec.kind == "lognormal":
-        if np.any(xs <= 0):
-            raise ValueError("lognormal density requires x > 0")
-        xs = np.log(xs)
-    return (xs - spec.mu) / spec.sigma
+        xs = _ln_x(xs) if ln_x is None else ln_x
+    z = xs - spec.mu
+    z /= spec.sigma
+    return z
 
 
 def pdf(spec: DistributionSpec, x):
-    """Evaluate the density at x (scalar or array); a built-in in z, never sigma^2."""
+    """Evaluate the density at x (scalar or array); a built-in in z, never sigma^2.
+
+    Where z or z^2 overflows, a built-in density is 0, with no warning.
+    """
     xs = np.asarray(x, dtype=float)
     if spec.kind == "custom":
         out = np.asarray(spec.pdf_fn(xs), dtype=float)
-    elif spec.kind == "lorentzian":
-        out = (1 / math.pi / spec.sigma) / (1.0 + _z(spec, xs) ** 2)
     else:
-        out = np.exp(-0.5 * _z(spec, xs) ** 2) * (1 / math.sqrt(math.tau) / spec.sigma)
-        if spec.kind == "lognormal":
-            out = out / xs
+        with np.errstate(over="ignore"):
+            z2 = _z(spec, xs) ** 2
+            if spec.kind == "lorentzian":
+                out = (1 / math.pi / spec.sigma) / (1.0 + z2)
+            else:
+                out = np.exp(-0.5 * z2) * (1 / math.sqrt(math.tau) / spec.sigma)
+                if spec.kind == "lognormal":
+                    out = out / xs
     return out if out.ndim else float(out)
 
 
 def pdf_derivative(spec: DistributionSpec, x):
-    """Closed-form density derivative for the built-ins: pdf times its log-slope."""
+    """Closed-form density derivative for the built-ins: pdf times its log-slope.
+
+    Where the density is 0 (z^2 overflowed, say), so is its derivative:
+    a nonnegative density has its minimum there.
+    """
     xs = np.asarray(x, dtype=float)
     if spec.kind == "custom":
         raise ValueError("no closed-form derivative for custom distributions")
-    z, p = _z(spec, xs), pdf(spec, xs)
-    if spec.kind == "lognormal":
-        out = -p * (1.0 + z / spec.sigma) / xs
-    else:
-        slope = z if spec.kind == "gaussian" else 2.0 * z / (1.0 + z * z)
-        out = -p * slope / spec.sigma
+    p = np.asarray(pdf(spec, xs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = _z(spec, xs)
+        if spec.kind == "lognormal":
+            out = -p * (1.0 + z / spec.sigma) / xs
+        else:
+            slope = z if spec.kind == "gaussian" else 2.0 * z / (1.0 + z * z)
+            out = -p * slope / spec.sigma
+    out = np.where(p == 0.0, 0.0, out)
     return out if out.ndim else float(out)
 
 
 def _sqrt_density(spec: DistributionSpec, xs: np.ndarray) -> np.ndarray:
-    """sqrt(pdf) at xs; a negative, infinite or NaN density is an error naming x."""
-    vals = np.asarray(pdf(spec, xs), dtype=float)
-    bad = ~((vals >= 0) & (vals < np.inf))
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        v, x = vals.flat[i], xs.flat[i]
-        raise ValueError(
-            f"density {spec.kind!r} is {'negative' if v < 0 else v} at x={x:g}"
-        )
-    return np.sqrt(vals)
+    """sqrt(pdf) at xs, up to a constant for a built-in.
+
+    A built-in is its shape in z, in place: exp(-z^2/4) for the Gaussian,
+    1/sqrt(1 + z^2) for the Lorentzian and exp(-z^2/4 - ln(x)/2) for the
+    lognormal; it is 0 where z^2 overflows, and never negative or NaN.
+    A custom density is ``pdf_fn``, broadcast to the shape of xs, and a
+    negative, infinite or NaN value of it is an error naming x.
+    """
+    if spec.kind == "custom":
+        vals = np.broadcast_to(np.asarray(pdf(spec, xs), dtype=float), xs.shape)
+        bad = ~((vals >= 0) & (vals < np.inf))
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            v, x = vals.flat[i], xs.flat[i]
+            raise ValueError(
+                f"density {spec.kind!r} is {'negative' if v < 0 else v} at x={x:g}"
+            )
+        return np.sqrt(vals)
+    ln_x = _ln_x(xs) if spec.kind == "lognormal" else None
+    with np.errstate(over="ignore"):
+        z = _z(spec, xs, ln_x)
+        np.square(z, out=z)
+        if spec.kind == "lorentzian":
+            z += 1.0
+            np.sqrt(z, out=z)
+            return np.reciprocal(z, out=z)
+        z *= -0.25
+        if ln_x is not None:
+            ln_x *= 0.5
+            z -= ln_x
+        return np.exp(z, out=z)
+
+
+def _target_blocks(spec: DistributionSpec, n_qubits: int, row: int = 1):
+    """The target's sqrt(pdf) on the grid, up to a constant for a built-in,
+    as ``(lo, values)`` at grid indices lo, lo + 1, ...
+
+    A block is as many whole rows of ``row`` points as fit in ``_BLOCK``;
+    a power-of-two ``row`` wider than that comes in power-of-two pieces.
+    The points are ``np.linspace(a, b, 2^N)``'s, made as it makes them:
+    ``arange(lo, hi) * spacing + a``, and ``b`` last.
+    """
+    grid = Grid.for_spec(spec, n_qubits)
+    step = _BLOCK // row * row or 1 << (_BLOCK.bit_length() - 1)
+    for lo in range(0, grid.size, step):
+        xs = np.arange(lo, min(lo + step, grid.size), dtype=float)
+        xs *= grid.spacing
+        xs += grid.a
+        if lo + xs.size == grid.size:
+            xs[-1] = grid.b
+        yield lo, _sqrt_density(spec, xs)
 
 
 def target_amplitudes(spec: DistributionSpec, n_qubits: int) -> np.ndarray:
-    """Exact normalized amplitude vector: sqrt(pdf) on the grid, unit norm.
-
-    Made block by block, with grid points as ``np.linspace`` makes them.
-    """
+    """Exact normalized amplitude vector: sqrt(pdf) on the grid, unit norm."""
     _check_dense(n_qubits, "target_amplitudes")
-    grid = Grid.for_spec(spec, n_qubits)
-    out = np.empty(grid.size)
-    for lo in range(0, grid.size, _BLOCK):
-        xs = np.arange(lo, min(lo + _BLOCK, grid.size)) * grid.spacing + grid.a
-        if lo + xs.size == grid.size:
-            xs[-1] = grid.b
-        out[lo : lo + xs.size] = _sqrt_density(spec, xs)
+    out = np.empty(2**n_qubits)
+    for lo, ys in _target_blocks(spec, n_qubits):
+        out[lo : lo + ys.size] = ys
     nrm = np.linalg.norm(out)
     if nrm == 0.0:
         raise ValueError("density vanishes on the entire grid")

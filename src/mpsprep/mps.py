@@ -29,6 +29,7 @@ across threads.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -169,13 +170,20 @@ class Mps:
         return _contract(self.cores).reshape(-1)
 
     def norm(self) -> float:
-        return float(np.sqrt(max(overlap(self, self), 0.0)))
+        """The 2-norm by the walk of ``overlap(self, self)``, its environment
+        scaled at each site by the power of 4 that brings its largest entry
+        to [1/2, 2): exact, so the unscaled walk's result wherever that is
+        finite, and no overflow where the squared norm would overflow."""
+        env, twos = np.ones((1, 1)), 0  # <self|self> is env * 4^twos
+        for core in self.cores:
+            env = _env_step(env, core, core)
+            k = math.frexp(float(np.abs(env).max()))[1] // 2
+            env, twos = np.ldexp(env, -2 * k), twos + k
+        with np.errstate(over="ignore"):
+            return float(np.ldexp(np.sqrt(max(float(env[0, 0]), 0.0)), twos))
 
     def normalize(self) -> "Mps":
-        """Rescale core 0 to unit 2-norm, which keeps right-canonical form.
-
-        The norm comes from ``overlap(self, self)``, so it must be below ~1e154.
-        """
+        """Rescale core 0 to unit 2-norm, which keeps right-canonical form."""
         nrm = self.norm()
         if nrm <= 0.0 or not np.isfinite(nrm):
             raise ValueError(f"cannot normalize an MPS with norm {nrm}")

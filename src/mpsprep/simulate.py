@@ -20,9 +20,9 @@ sources by successive overlap drops; shares are each drop divided by
 the total infidelity. It never simulates the gates: the circuit's state
 is the rank-2 MPS that :func:`circuit_to_mps` reads off them. That MPS
 and the assembled one are each cut at qubit N // 2, and the exact
-target is read once, against both tails stacked, for the fit and the
-total. So the target is the only 2^N vector. Compression and gate drops
-are MPS overlaps.
+target is read once, in blocks, against both tails stacked, for the fit
+and the total. So no 2^N vector is made. Compression and gate drops are
+MPS overlaps.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ from .functions import (
     DistributionSpec,
     Grid,
     PiecewisePoly,
+    _target_blocks,
     fit_piecewise,
     assemble,
-    target_amplitudes,
 )
 from .linalg import _int_field
 from .mps import CompressionOptions, Mps, _check_dense, _halves, compress_als, overlap
@@ -230,16 +230,30 @@ def error_decomposition(result: PipelineResult) -> ErrorDecomposition:
 
     The circuit's state is read off its gates by :func:`circuit_to_mps`.
     It and the assembled MPS are each cut at qubit h = N // 2, and the
-    exact target, the one 2^N vector, is read once: its (2^h, 2^(N-h))
-    view times both tails stacked gives the fit and the total together.
+    exact target is read once, in blocks of whole rows of its
+    (2^h, 2^(N-h)) view: each block times both tails stacked gives its
+    rows of the fit and total overlaps, and its sum of squares adds to
+    ||target||^2, which divides them at the end. No 2^N vector is made.
     """
+    n = result.grid.n_qubits
+    _check_dense(n, "error_decomposition")
     a = result.assembled
     circ = circuit_to_mps(result.circuit)
-    h = a.n_sites // 2
+    h = n // 2
     a_head, a_tail = _halves(a, h)
     c_head, c_tail = _halves(circ, h)
-    exact = target_amplitudes(result.spec, result.grid.n_qubits)
-    cut = exact.reshape(len(a_head), -1) @ np.vstack([a_tail, c_tail]).T
+    tails = np.vstack([a_tail, c_tail])
+    width = tails.shape[1]
+    cut, sq = np.zeros((len(a_head), len(tails))), 0.0
+    for lo, ys in _target_blocks(result.spec, n, width):
+        sq += ys @ ys
+        r, c = divmod(lo, width)
+        # whole rows, or a piece of one row when a row is wider than a block
+        rows = ys.reshape(-1, min(width, ys.size))
+        cut[r : r + len(rows)] += rows @ tails[:, c : c + rows.shape[1]].T
+    if sq == 0.0:
+        raise ValueError("density vanishes on the entire grid")
+    cut /= np.sqrt(sq)
     a_norm = a.norm()
     bond = len(a_tail)
     f_pp = min(abs(float(np.sum(a_head * cut[:, :bond]))) / a_norm, 1.0)

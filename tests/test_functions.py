@@ -14,9 +14,11 @@ from mpsprep import (
     encode,
     fit_piecewise,
     pdf,
+    pdf_derivative,
     poly_mps,
     target_amplitudes,
 )
+from mpsprep.functions import _sqrt_density
 
 from conftest import FAMILIES, NARROW_LORENTZIAN, polyval_values
 
@@ -153,6 +155,48 @@ class TestPdf:
         g = DistributionSpec("gaussian", domain=(0.0, 2.0))
         assert g.domain == (0.0, 2.0)
 
+    def test_overflowing_z_is_a_vanishing_density(self):
+        # z reaches -5e159 at x = 0, so z^2 overflows: the density and its
+        # derivative are 0 there with no RuntimeWarning, and the fit names
+        # the vanishing density instead of the overflow
+        spec = DistributionSpec("gaussian", mu=5e299, sigma=1e140, domain=(0.0, 1e300))
+        assert pdf(spec, 0.0) == 0.0
+        assert pdf_derivative(spec, 0.0) == 0.0
+        msg = "^fit stage: density vanishes on every fit sample$"
+        with pytest.raises(ValueError, match=msg):
+            encode(RunConfig(spec=spec, n_qubits=12))
+
+
+class TestClosedForm:
+    """A built-in's sqrt(pdf) is read as its shape in z, up to a constant."""
+
+    @pytest.mark.parametrize("kind", ["gaussian", "lognormal", "lorentzian"])
+    @given(
+        mu=st.floats(-600.0, 600.0),
+        sigma=st.floats(1e-3, 1e3),
+        e=st.integers(-900, 900),
+        zs=st.lists(st.floats(-37.0, 37.0), min_size=2, max_size=40),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_ratio_to_sqrt_pdf_is_constant(self, kind, mu, sigma, e, zs):
+        # points mu + sigma z, the Gaussian and Lorentzian at scale 2^e and
+        # the lognormal at x = exp(mu + sigma z); compared where pdf is
+        # normal. |z| <= 37 keeps pdf's factor exp(-z^2/2) normal too, so
+        # pdf has all its digits wherever it is normal.
+        ts = mu + sigma * np.array(zs)
+        if kind == "lognormal":
+            spec = DistributionSpec(kind, mu=mu, sigma=sigma, domain=(1.0, 2.0))
+            xs = np.exp(np.clip(ts, -700.0, 700.0))
+        else:
+            t = math.ldexp(1.0, e)
+            spec = DistributionSpec(kind, mu=mu * t, sigma=sigma * t, domain=(0.0, 1.0))
+            xs = ts * t
+        p = pdf(spec, xs)
+        normal = p >= np.finfo(float).tiny
+        ratio = _sqrt_density(spec, xs)[normal] / np.sqrt(p[normal])
+        if ratio.size:
+            assert np.max(np.abs(ratio / ratio[0] - 1.0)) <= 1e-13
+
 
 class TestTargetAmplitudes:
     def test_uniform(self):
@@ -160,6 +204,13 @@ class TestTargetAmplitudes:
             "custom", domain=(0.0, 1.0), pdf_fn=lambda x: np.ones_like(np.asarray(x))
         )
         assert np.allclose(target_amplitudes(spec, 2), 0.5)
+
+    def test_scalar_density_is_broadcast(self):
+        # a pdf_fn that returns one number is that number at every point
+        spec = DistributionSpec("custom", domain=(0.0, 1.0), pdf_fn=lambda x: 2.0)
+        assert np.array_equal(target_amplitudes(spec, 3), np.full(8, 8**-0.5))
+        report = encode(RunConfig(spec=spec, n_qubits=6))[1]
+        assert report.fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_two_point(self):
         spec = DistributionSpec("gaussian", mu=1.0, sigma=1.0, domain=(0.0, 2.0))

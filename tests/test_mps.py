@@ -6,6 +6,7 @@ from mpsprep import (
     Grid,
     Mps,
     bipartite_vne,
+    build_pipeline,
     compress_als,
     overlap,
     poly_mps,
@@ -313,6 +314,33 @@ class TestOverlapNorm:
         assert m.norm() == pytest.approx(
             np.linalg.norm(m.to_statevector()), rel=1e-10
         )
+
+    def test_norm_of_long_chains_is_finite(self):
+        # <m|m> passes the float range from N = 1024 on, so the unscaled walk
+        # overflows; the norm grows as 2^(N/2), the fit being the same
+        spec = DistributionSpec("gaussian", mu=1e100, sigma=1e100, domain=(0.0, 2e100))
+
+        def norm(n):
+            g = Grid.for_spec(spec, n)
+            return assemble(fit_piecewise(spec, g, 3, 3), g).norm()
+
+        base = norm(1023)
+        for n in (1026, 1100):
+            assert norm(n) == pytest.approx(base * 2 ** ((n - 1023) / 2), rel=1e-14)
+
+    def test_norm_is_the_unscaled_walk_where_finite(self):
+        # scaling by powers of 4 is exact: bit for bit the unscaled
+        # sqrt(overlap(m, m)), on assembled and compressed chains
+        spec = DistributionSpec("gaussian", mu=1e100, sigma=1e100, domain=(0.0, 2e100))
+        g = Grid.for_spec(spec, 1023)
+        chains = [assemble(fit_piecewise(spec, g, 3, 3), g)]
+        for kind, domain in (("gaussian", (0.0, 2.0)), ("lognormal", (0.0, 5.0))):
+            for n, sigma in ((5, 0.1), (13, 0.44), (20, 1.0)):
+                spec = DistributionSpec(kind, 1.0, sigma, domain)
+                res = build_pipeline(spec, n, degree=5)
+                chains += [res.assembled, res.compressed]
+        for m in chains:
+            assert m.norm() == float(np.sqrt(max(overlap(m, m), 0.0)))
 
     def test_site_mismatch(self):
         with pytest.raises(ValueError, match="site count"):

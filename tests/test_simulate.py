@@ -14,6 +14,7 @@ from mpsprep import (
     run,
     target_amplitudes,
 )
+from mpsprep import functions
 from mpsprep.simulate import _stage
 from conftest import FAMILIES, NARROW_LORENTZIAN, polyval_values, random_mps
 
@@ -223,6 +224,24 @@ class TestSplitOverlap:
         # 2^N vector sits next to the target.
         n = 22
         assert _traced_peak(n) <= 1.25 * 8 * 2**n
+
+    def test_target_is_read_in_blocks(self):
+        # No 2^N vector: the traced peak is a block of the target and its
+        # grid points, a fraction of one 2^N vector.
+        n = 22
+        assert _traced_peak(n) <= 0.25 * 8 * 2**n
+
+    @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("block", [20, 200])
+    def test_block_size_keeps_figures(self, spec, block, monkeypatch):
+        # N = 11 cuts at h = 5 into rows of 64 points. A block of 20 is
+        # smaller than a row, so rows come in pieces of 16; one of 200 holds
+        # three rows, 192 points, which do not divide the 2048-point grid.
+        res = build_pipeline(spec, 11)
+        want = vars(error_decomposition(res))
+        monkeypatch.setattr(functions, "_BLOCK", block)
+        got = vars(error_decomposition(res))
+        assert max(abs(got[k] - want[k]) for k in want) <= 1e-15
 
 
 def _traced_peak(n):
