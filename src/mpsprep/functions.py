@@ -166,18 +166,20 @@ def _z(
 def pdf(spec: DistributionSpec, x):
     """Evaluate the density at x (scalar or array); a built-in in z, never sigma^2.
 
-    Where z or z^2 overflows, a built-in density is 0, with no warning.
+    Where z^2 overflows, the Gaussian and lognormal are 0 and the Lorentzian
+    is its tail c/|z|/|z|, with no warning; where z overflows, all are 0.
     """
     xs = np.asarray(x, dtype=float)
     if spec.kind == "custom":
         out = np.asarray(spec.pdf_fn(xs), dtype=float)
     else:
         with np.errstate(over="ignore"):
-            z2 = _z(spec, xs) ** 2
+            z = _z(spec, xs)
             if spec.kind == "lorentzian":
-                out = (1 / math.pi / spec.sigma) / (1.0 + z2)
+                h = np.hypot(1.0, z)  # sqrt(1 + z^2), and |z| where z^2 overflows
+                out = (1 / math.pi / spec.sigma) / h / h
             else:
-                out = np.exp(-0.5 * z2) * (1 / math.sqrt(math.tau) / spec.sigma)
+                out = np.exp(-0.5 * z**2) * (1 / math.sqrt(math.tau) / spec.sigma)
                 if spec.kind == "lognormal":
                     out = out / xs
     return out if out.ndim else float(out)
@@ -209,7 +211,10 @@ def _sqrt_density(spec: DistributionSpec, xs: np.ndarray) -> np.ndarray:
 
     A built-in is its shape in z, in place: exp(-z^2/4) for the Gaussian,
     1/sqrt(1 + z^2) for the Lorentzian and exp(-z^2/4 - ln(x)/2) for the
-    lognormal; it is 0 where z^2 overflows, and never negative or NaN.
+    lognormal; it is never negative or NaN. Where z^2 overflows, the
+    Gaussian and lognormal are 0, and a block where the Lorentzian's z^2
+    overflows anywhere is 1/hypot(1, z), its tail 1/|z| to rounding; the
+    overflow is read off the floating-point flags, not by a pass over z.
     A custom density is ``pdf_fn``, broadcast to the shape of xs, and a
     negative, infinite or NaN value of it is an error naming x.
     """
@@ -226,11 +231,16 @@ def _sqrt_density(spec: DistributionSpec, xs: np.ndarray) -> np.ndarray:
     ln_x = _ln_x(xs) if spec.kind == "lognormal" else None
     with np.errstate(over="ignore"):
         z = _z(spec, xs, ln_x)
-        np.square(z, out=z)
         if spec.kind == "lorentzian":
+            try:
+                with np.errstate(over="raise"):
+                    np.square(z, out=z)
+            except FloatingPointError:
+                return np.reciprocal(np.hypot(1.0, _z(spec, xs)))
             z += 1.0
             np.sqrt(z, out=z)
             return np.reciprocal(z, out=z)
+        np.square(z, out=z)
         z *= -0.25
         if ln_x is not None:
             ln_x *= 0.5

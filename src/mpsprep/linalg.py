@@ -7,6 +7,16 @@ of the MPS sweeps, whose R diagonal is non-negative. These conventions
 make every downstream artifact (cores, gates, serialized circuits)
 reproducible bit for bit.
 
+The sweeps' QR factors a matrix of at most two columns, and no more
+columns than rows, in closed form: Gram-Schmidt applied twice on Python
+floats, each column divided first by its norm from ``math.hypot``, so no
+square overflows or underflows. At full column rank the QR with a
+positive R diagonal is unique, so this is LAPACK's Householder result up
+to rounding, and the sign rule is unchanged; it skips LAPACK's per-call
+overhead, which dominates at these sizes. A zero or numerically
+dependent column, and every wider matrix, take the Householder path with
+the same sign rule.
+
 The rank rule lives in :func:`_svd_cut` alone: a cut keeps its
 numerical rank, the values strictly above ``RANK_FLOOR`` of its largest,
 optionally capped at a maximum rank. The floor is relative, so the
@@ -21,7 +31,9 @@ copies or scans its matrix again.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -121,8 +133,8 @@ def _fix_svd_signs(u: np.ndarray, vt: np.ndarray) -> tuple[np.ndarray, np.ndarra
     # compensated in the matching right singular vector.
     big = np.abs(u) > _SIGN_EPS
     first, cols = np.argmax(big, axis=0), np.arange(u.shape[1])
-    flip = big[first, cols] & (u[first, cols] < 0)
-    return np.where(flip, -u, u), np.where(flip[:, None], -vt, vt)
+    sign = np.where(big[first, cols] & (u[first, cols] < 0), -1.0, 1.0)
+    return u * sign, vt * sign[:, None]  # exact: flips signs only
 
 
 def _raw_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -177,8 +189,43 @@ def truncated_svd(a, max_rank: int | None = None) -> SvdResult:
 
 
 def _qr_signed(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Reduced QR with non-negative R diagonal; accepts any shape.
+    """Reduced QR of a finite 2-d ``m`` of any shape, R's diagonal
+    non-negative: in closed form up to two columns (see the module
+    docstring), else by LAPACK's Householder QR with its signs fixed."""
+    rows, cols = m.shape
+    if cols <= 2 and rows >= cols:
+        qr = _gram_schmidt(m)
+        if qr is not None:
+            return qr
     q, r = np.linalg.qr(m, mode="reduced")
     sign = np.where(np.diagonal(r) < 0, -1.0, 1.0)  # exact: flips signs only
     return q * sign, r * sign[:, None]
 
+
+def _gram_schmidt(m: np.ndarray):
+    """``(q, r)`` of a (rows, 1 or 2) ``m``, rows >= columns, by Gram-Schmidt
+    applied twice on Python floats, R's diagonal positive; None where a
+    column is zero or its norm overflows, or where the second column's part
+    off the first is at most ``RANK_FLOOR`` of its norm. Each column is
+    divided by its norm first, so no step leaves the normal floats and the
+    result scales exactly with a column's power-of-two scale."""
+    a, *rest = m.T.tolist()  # the columns
+    ra = math.hypot(*a)
+    if not 0.0 < ra < math.inf:
+        return None
+    qa = [x / ra for x in a]
+    if not rest:
+        return np.array(qa)[:, None], np.array([[ra]])
+    rb = math.hypot(*rest[0])
+    if not 0.0 < rb < math.inf:
+        return None
+    b = [y / rb for y in rest[0]]
+    c = math.fsum(map(mul, qa, b))
+    v = [y - c * x for x, y in zip(qa, b)]
+    d = math.fsum(map(mul, qa, v))
+    v = [y - d * x for x, y in zip(qa, v)]
+    rv = math.hypot(*v)
+    if not rv > RANK_FLOOR:
+        return None
+    q = np.array([[x, y / rv] for x, y in zip(qa, v)])
+    return q, np.array([[ra, (c + d) * rb], [0.0, rv * rb]])

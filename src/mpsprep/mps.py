@@ -295,12 +295,17 @@ def compress_als(m: Mps, opts: CompressionOptions) -> Mps:
     with |+>^t appended. Without such a run the head is the whole chain.
     An assembled state at k=3, p=3 has a 58-site head for every N >= 59,
     so a run whose first sweep converges makes 3 * 57 QR factorizations,
-    the start's pass included.
+    the start's pass included. At ``target_chi`` <= 2 the sweeps' have
+    at most two columns and take the closed form of
+    :func:`~mpsprep.linalg._qr_signed`.
 
     Sweeps maximize the overlap with the input, taken in any gauge and
-    unnormalized: the cached boundary environments are linear in it and
-    each half sweep divides its end core by that core's norm, so a norm
-    of order 2^(N/2) (assembled states up to N = 1023) is never squared.
+    unnormalized: the cached boundary environments are linear in it,
+    sweep 0's overlap is taken with the start's core 0 scaled to unit
+    norm, and each half sweep divides its end core by that core's norm,
+    each norm from ``math.hypot``. So the input's norm is never squared:
+    one of order 2^(N/2) (assembled states up to N = 1023), or a core
+    scaled by 2^±1000, gives the compression of the unscaled input.
     Each local problem contracts the environments with one target core;
     a sweep costs O(head) contractions sized by the bond dimensions. The
     truncated-SVD start counts as sweep 0, so a converged start costs one
@@ -331,15 +336,15 @@ def _compress_head(m: Mps, opts: CompressionOptions) -> list[np.ndarray]:
     env = [np.ones((1, 1))] * (m.n_sites + 1)
     for i in range(m.n_sites - 1):
         env[i + 1] = _env_step(env[i], work[i], target[i])
-    # Sweep 0 is the start itself: |<start|m>| over its norm, core 0's.
-    ovl = abs(_env_step(env[-2], work[-1], target[-1])[0, 0])
-    ovl /= np.linalg.norm(start.cores[0])
+    # Sweep 0 is the start itself: |<start|m>| over its norm, core 0's,
+    # taken with core 0 scaled to unit norm first.
+    ovl = abs(_env_step(env[-2], work[-1] / _norm(work[-1]), target[-1])[0, 0])
     for _ in range(opts.max_sweeps):
         for _half in ("left to right", "right to left"):
             work, target, env = _mirror(work), _mirror(target), env[::-1]
             nrm = _als_half_sweep(work, target, env)
         prev, ovl = ovl, nrm
-        if abs(ovl - prev) <= opts.convergence_tol * max(abs(ovl), 1e-300):
+        if abs(ovl - prev) <= opts.convergence_tol * ovl:  # a norm, > 0
             break
     return _mirror(work)
 
@@ -419,28 +424,37 @@ def _env_step(env: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return tmp.T @ b.reshape(-1, b.shape[2])  # (c, d)
 
 
-def _local_target(left: np.ndarray, t: np.ndarray, right: np.ndarray) -> np.ndarray:
-    # Best single-site core given the environments on either side.
-    tmp = (left @ t.reshape(len(t), -1)).reshape(-1, t.shape[2])  # (a s, d)
-    return (tmp @ right.T).reshape(len(left), 2, -1)  # (a, s, c)
+def _env_target(env: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """A ``(a bond, t bond)`` environment contracted with target core ``t``
+    into an (a * 2, right bond of t) matrix."""
+    return (env @ t.reshape(len(t), -1)).reshape(-1, t.shape[2])
+
+
+def _norm(a: np.ndarray) -> float:
+    """The 2-norm of ``a`` by ``math.hypot``, so no square overflows or
+    underflows."""
+    return math.hypot(*a.ravel().tolist())
 
 
 def _als_half_sweep(work: list, target: list, env: list) -> float:
     """Left-to-right ALS half sweep over right-canonical ``work``; each
     ``env[j]`` turns from right to left environment as the sweep passes.
-    Updates in place; returns the end core's norm before it is scaled to 1."""
+    At each site the left environment times the target core, ``lt``, gives
+    both the best core, ``lt`` times the right environment, and, once that
+    core is replaced by its QR isometry q, the next left environment
+    q^T @ ``lt``: three products per site. Updates in place; returns the
+    end core's norm before it is scaled to 1."""
     n = len(work)
     for i in range(n - 1):
-        b = _local_target(env[i], target[i], env[i + 1])
-        al, _, ar = b.shape
-        q, _ = _qr_signed(b.reshape(al * 2, ar))
-        work[i] = q.reshape(al, 2, q.shape[1])
-        env[i + 1] = _env_step(env[i], work[i], target[i])
-    b = _local_target(env[n - 1], target[n - 1], env[n])
-    nrm = float(np.linalg.norm(b))
+        lt = _env_target(env[i], target[i])
+        q, _ = _qr_signed(lt @ env[i + 1].T)  # of the best core given both sides
+        work[i] = q.reshape(len(env[i]), 2, q.shape[1])
+        env[i + 1] = q.T @ lt
+    b = _env_target(env[n - 1], target[n - 1]) @ env[n].T
+    nrm = _norm(b)
     if nrm == 0.0:
         raise ValueError("target is orthogonal to the compression ansatz")
-    work[n - 1] = b / nrm
+    work[n - 1] = (b / nrm).reshape(len(env[n - 1]), 2, -1)
     return nrm
 
 

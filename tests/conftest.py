@@ -32,6 +32,14 @@ def random_mps(n, chi, rng, scaled=False):
     return Mps(cores)
 
 
+def householder_qr(m):
+    """Reduced QR by LAPACK's Householder QR, R's diagonal made non-negative:
+    the reference the closed form in ``_qr_signed`` is checked against."""
+    q, r = np.linalg.qr(m, mode="reduced")
+    sign = np.where(np.diagonal(r) < 0, -1.0, 1.0)
+    return q * sign, r * sign[:, None]
+
+
 def polyval_values(pp, grid):
     """A piecewise polynomial at every grid point, by np.polynomial's polyval:
     the reference evaluation of a fit, independent of its MPS encoding."""

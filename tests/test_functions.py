@@ -166,6 +166,21 @@ class TestPdf:
         with pytest.raises(ValueError, match=msg):
             encode(RunConfig(spec=spec, n_qubits=12))
 
+    def test_lorentzian_tail_past_the_square_range(self):
+        # z = 1e155 at x = 1e-145, so z^2 overflows, but the density
+        # c / z^2 = 3.18e-11 is a normal float; on the domain the shape is
+        # 1/|z|, as for sigma 1 on [1e5, 2e5] up to 5e-11 relative
+        spec = DistributionSpec(
+            "lorentzian", mu=0.0, sigma=1e-300, domain=(1e-145, 2e-145)
+        )
+        want = 1 / math.pi / 1e-300 / 1e155 / 1e155
+        assert pdf(spec, 1e-145) == pytest.approx(want, rel=1e-14)
+        assert pdf_derivative(spec, 1e-145) == 0.0
+        unit = DistributionSpec("lorentzian", mu=0.0, sigma=1.0, domain=(1e5, 2e5))
+        tail = encode(RunConfig(spec=spec, n_qubits=10))[1]
+        ref = encode(RunConfig(spec=unit, n_qubits=10))[1]
+        assert tail.fidelity == pytest.approx(ref.fidelity, abs=1e-9)
+
 
 class TestClosedForm:
     """A built-in's sqrt(pdf) is read as its shape in z, up to a constant."""

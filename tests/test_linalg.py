@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scipy.linalg
 
 from mpsprep import SvdConvergenceError, truncated_svd
-from mpsprep.linalg import _SIGN_EPS, _fix_svd_signs, _qr_signed
+from mpsprep.linalg import _SIGN_EPS, _fix_svd_signs, _gram_schmidt, _qr_signed
+
+from conftest import householder_qr
 
 
 def _fix_svd_signs_loop(u, vt):
@@ -205,3 +209,56 @@ class TestQr:
         assert np.all(np.diagonal(r) >= 0)
         assert np.max(np.abs(q @ r - m)) <= 1e-12 * np.max(np.abs(m))
 
+
+
+class TestClosedFormQr:
+    """Up to two columns, ``_qr_signed`` is Gram-Schmidt applied twice; it
+    is LAPACK's signed QR up to rounding, at any scale."""
+
+    @given(
+        shape=st.sampled_from([(1, 1), (2, 1), (4, 1), (2, 2), (4, 2), (8, 2)]),
+        e=st.integers(-1000, 1000),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_householder(self, shape, e, data):
+        # entries are multiples of 2^-20 in [-1, 1], scaled by 2^e, so each
+        # nonzero one is a normal float
+        size = shape[0] * shape[1]
+        ints = st.lists(st.integers(-(2**20), 2**20), min_size=size, max_size=size)
+        m = np.ldexp(np.array(data.draw(ints), dtype=float).reshape(shape), e - 20)
+        q, r = _qr_signed(m)
+        hq, hr = householder_qr(m)
+        assert q.shape == hq.shape and r.shape == hr.shape
+        assert np.array_equal(r, np.triu(r)) and np.all(np.diagonal(r) >= 0)
+        closed = _gram_schmidt(m)
+        if closed is None:  # a zero or numerically dependent column
+            assert np.array_equal(q, hq) and np.array_equal(r, hr)
+            return
+        assert np.array_equal(q, closed[0]) and np.array_equal(r, closed[1])
+        cols = shape[1]
+        assert np.max(np.abs(q.T @ q - np.eye(cols))) <= 1e-15
+        scale = np.max(np.abs(m))
+        assert np.max(np.abs(q @ r - m)) <= 1e-15 * scale
+        if np.linalg.cond(m) <= 10:
+            assert np.max(np.abs(q - hq)) <= 1e-14
+            assert np.max(np.abs(r - hr)) <= 1e-14 * np.max(np.abs(hr))
+
+    @pytest.mark.parametrize("e", [-1000, 0, 1000])
+    def test_degenerate_and_wide_take_householder(self, rng, e):
+        col = rng.standard_normal((4, 1))
+        cases = [
+            np.hstack([np.zeros((4, 1)), col]),  # zero first column
+            np.hstack([col, np.zeros((4, 1))]),  # zero second column
+            np.hstack([col, 3.0 * col]),  # parallel columns
+            np.zeros((2, 1)),
+            rng.standard_normal((1, 2)),  # wide
+            rng.standard_normal((2, 4)),
+        ]
+        for m in cases:
+            m = np.ldexp(m, e)
+            if m.shape[0] >= m.shape[1]:
+                assert _gram_schmidt(m) is None
+            q, r = _qr_signed(m)
+            hq, hr = householder_qr(m)
+            assert np.array_equal(q, hq) and np.array_equal(r, hr)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,14 +16,14 @@ from mpsprep import (
     tt_round,
     unfolding_spectra,
 )
-from mpsprep.linalg import PRODUCT_TOL, _qr_signed, truncated_svd
+from mpsprep.linalg import PRODUCT_TOL, truncated_svd
 from mpsprep.circuits import _right_canonical
 from mpsprep.mps import (
     _compress_head,
     _env_step,
+    _env_target,
     _halves,
     _left_sweep,
-    _local_target,
     _split_product_tail,
 )
 from mpsprep.functions import (
@@ -31,7 +33,7 @@ from mpsprep.functions import (
     target_amplitudes,
 )
 
-from conftest import random_mps
+from conftest import householder_qr, random_mps
 
 
 def ones_product_state(n):
@@ -556,8 +558,20 @@ class TestContractions:
             t = rng.standard_normal((b, 2, d))
             tmp = np.tensordot(left, t, axes=([1], [0]))
             want = np.tensordot(tmp, right, axes=([2], [1]))
-            got = _local_target(left, t, right)
+            got = (_env_target(left, t) @ right.T).reshape(a, 2, c)
             assert got.shape == want.shape == (a, 2, c)
+            assert _relative_gap(got, want) <= 1e-15
+
+    def test_env_from_env_target(self, rng):
+        # The half sweep's next environment, q^T @ (env times target),
+        # is the environment step over the pair (q, target).
+        for _ in range(40):
+            a, b, c, d = self._bonds(rng, 4)
+            env = rng.standard_normal((a, b))
+            q, t = rng.standard_normal((a, 2, c)), rng.standard_normal((b, 2, d))
+            got = q.reshape(-1, c).T @ _env_target(env, t)
+            want = _env_step(env, q, t)
+            assert got.shape == want.shape == (c, d)
             assert _relative_gap(got, want) <= 1e-15
 
     def test_left_sweep_carry(self, rng):
@@ -569,13 +583,41 @@ class TestContractions:
             want = list(cores)
             for i in range(4):
                 al, _, ar = want[i].shape
-                q, carry = _qr_signed(want[i].reshape(al * 2, ar))
+                q, carry = householder_qr(want[i].reshape(al * 2, ar))
                 want[i] = q.reshape(al, 2, q.shape[1])
                 want[i + 1] = np.tensordot(carry, want[i + 1], axes=([1], [0]))
-            got = _left_sweep(list(cores), _qr_signed)
+            got = _left_sweep(list(cores), householder_qr)
             for g, w in zip(got, want):
                 assert g.shape == w.shape
                 assert _relative_gap(g, w) <= 1e-15
+
+
+class TestCompressExtremeNorms:
+    """compress_als never squares the input's norm: core 0 scaled by 2^e
+    gives the compression of the unscaled input, with no warning."""
+
+    def _scaled(self, m, e):
+        return Mps((np.ldexp(m.cores[0], e),) + m.cores[1:])
+
+    def test_far_past_the_square_range(self, rng):
+        m = random_mps(8, 3, rng)
+        base = compress_als(m, CompressionOptions())
+        for e in (-1000, -600, -520, 511, 600, 1000):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = compress_als(self._scaled(m, e), CompressionOptions())
+            assert not caught, e
+            assert got.bond_dims == base.bond_dims, e
+            for a, b in zip(got.cores, base.cores):
+                assert np.max(np.abs(a - b)) <= 1e-15, e
+
+    def test_bit_identical_inside_it(self, rng):
+        m = random_mps(8, 3, rng)
+        base = compress_als(m, CompressionOptions())
+        for e in (-400, 400):
+            got = compress_als(self._scaled(m, e), CompressionOptions())
+            for a, b in zip(got.cores, base.cores):
+                assert np.array_equal(a, b), e
 
 
 class TestSweepZeroStoppingRule:
@@ -616,7 +658,7 @@ def _reference_right_canonical(cores):
     cores = list(cores)
     for i in range(len(cores) - 1, 0, -1):
         al, _, ar = cores[i].shape
-        q, r = _qr_signed(cores[i].reshape(al, 2 * ar).T)
+        q, r = householder_qr(cores[i].reshape(al, 2 * ar).T)
         cores[i] = q.T.reshape(q.shape[1], 2, ar)
         cores[i - 1] = np.tensordot(cores[i - 1], r.T, axes=([2], [0]))
     return cores
@@ -631,7 +673,7 @@ def _reference_compress_als(m, opts):
     work = list(m.cores)
     for i in range(n - 1):
         al, _, ar = work[i].shape
-        q, r = _qr_signed(work[i].reshape(al * 2, ar))
+        q, r = householder_qr(work[i].reshape(al * 2, ar))
         work[i] = q.reshape(al, 2, q.shape[1])
         work[i + 1] = np.tensordot(r, work[i + 1], axes=([1], [0]))
     for i in range(n - 1, 0, -1):
@@ -663,7 +705,7 @@ def _reference_compress_als(m, opts):
         for i in range(n - 1):
             b = local_target(i)
             al, _, ar = b.shape
-            q, _ = _qr_signed(b.reshape(al * 2, ar))
+            q, _ = householder_qr(b.reshape(al * 2, ar))
             work[i] = q.reshape(al, 2, q.shape[1])
             tmp = np.tensordot(left_env[i], work[i], axes=([0], [0]))
             left_env[i + 1] = np.tensordot(tmp, t_cores[i], axes=([0, 1], [0, 1]))
@@ -671,7 +713,7 @@ def _reference_compress_als(m, opts):
         for i in range(n - 1, 0, -1):
             b = local_target(i)
             al, _, ar = b.shape
-            q, _ = _qr_signed(b.reshape(al, 2 * ar).T)
+            q, _ = householder_qr(b.reshape(al, 2 * ar).T)
             work[i] = q.T.reshape(q.shape[1], 2, ar)
             tmp = np.tensordot(work[i], right_env[i + 1], axes=([2], [0]))
             right_env[i] = np.tensordot(tmp, t_cores[i], axes=([1, 2], [1, 2]))

@@ -213,15 +213,17 @@ class TestSplitOverlap:
             assert {type(x) for x in vars(dec).values()} == {float}
 
     def test_no_dense_circuit_state(self):
-        # Only the target is a 2^N vector: the traced peak stays well below
-        # the three or more that a dense circuit state alongside the target
-        # would take.
+        # The circuit's state is read as an MPS, never as a 2^N vector: the
+        # traced peak stays well below the 2.5 vectors of 2^N floats that a
+        # dense circuit state and its simulation would take. (The target is
+        # read in blocks; test_target_is_read_in_blocks bounds it.)
         n = 18
         assert _traced_peak(n) <= 2.5 * 8 * 2**n
 
     def test_target_is_the_only_dense_vector(self):
-        # The fit is read off the assembled MPS's two halves, so no second
-        # 2^N vector sits next to the target.
+        # The fit is read off the assembled MPS's two halves, so no 2^N
+        # vector of it is made; nor of the target, which is read in blocks:
+        # the traced peak stays under a quarter more than one 2^N vector.
         n = 22
         assert _traced_peak(n) <= 1.25 * 8 * 2**n
 
