@@ -23,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from .functions import DistributionSpec
-from .mps import CompressionOptions
+from .mps import CompressionOptions, dense_qubit_limit
 from .circuits import validate_circuit
 from .simulate import RunConfig
 from .pipeline import (
@@ -171,8 +171,11 @@ def _cmd_encode(args) -> int:
         with open(args.report, "w", encoding="utf-8") as fh:
             json.dump(report.to_dict(), fh, indent=1)
             fh.write("\n")
-    print(f"fidelity {_sig12(report.fidelity)} (vs {report.fidelity_vs})")
-    if (e := report.errors) is not None:
+    if (e := report.errors) is None:
+        n, limit = config.n_qubits, dense_qubit_limit()
+        print(f"fidelity not measured: N={n} is above the dense limit of {limit}")
+    else:
+        print(f"fidelity {_sig12(report.fidelity)} (vs {report.fidelity_vs})")
         values = map(_sig12, (e.pp_error, e.mps_error, e.gate_error, e.total))
         print("errors pp {} mps {} gate {} total {}".format(*values))
     print(f"gates {len(circuit.gates)} max_bond {report.result.compressed.max_bond}")

@@ -252,13 +252,13 @@ def _target_blocks(spec: DistributionSpec, n_qubits: int, row: int = 1):
     """The target's sqrt(pdf) on the grid, up to a constant for a built-in,
     as ``(lo, values)`` at grid indices lo, lo + 1, ...
 
-    A block is as many whole rows of ``row`` points as fit in ``_BLOCK``;
-    a power-of-two ``row`` wider than that comes in power-of-two pieces.
-    The points are ``np.linspace(a, b, 2^N)``'s, made as it makes them:
-    ``arange(lo, hi) * spacing + a``, and ``b`` last.
+    A block is as many whole rows of ``row`` points as fit in ``_BLOCK``,
+    and at least one row. The points are ``np.linspace(a, b, 2^N)``'s,
+    made as it makes them: ``arange(lo, hi) * spacing + a``, and ``b``
+    last.
     """
     grid = Grid.for_spec(spec, n_qubits)
-    step = _BLOCK // row * row or 1 << (_BLOCK.bit_length() - 1)
+    step = max(_BLOCK // row, 1) * row
     for lo in range(0, grid.size, step):
         xs = np.arange(lo, min(lo + step, grid.size), dtype=float)
         xs *= grid.spacing
@@ -268,16 +268,43 @@ def _target_blocks(spec: DistributionSpec, n_qubits: int, row: int = 1):
         yield lo, _sqrt_density(spec, xs)
 
 
+def _needs_rescale(sq: float, size: int) -> bool:
+    """Whether a sum of ``size`` squares must be taken again at another
+    scale: it overflowed, or it is below ``size`` times the smallest
+    normal float. Below that, the squares flushed under the normal range,
+    each off by up to half the subnormal spacing, may move it by more
+    than its rounding.
+    """
+    return not size * _TINY <= sq < math.inf
+
+
+def _top_exponent(blocks) -> int:
+    """The binary exponent e of the largest value in ``blocks`` of the
+    target, 2^(e-1) <= max < 2^e: scaled by 2^-e, its sum of squares is
+    normal."""
+    top = max(float(np.max(ys)) for ys in blocks)
+    if top == 0.0:
+        raise ValueError("density vanishes on the entire grid")
+    return math.frexp(top)[1]
+
+
 def target_amplitudes(spec: DistributionSpec, n_qubits: int) -> np.ndarray:
-    """Exact normalized amplitude vector: sqrt(pdf) on the grid, unit norm."""
+    """Exact normalized amplitude vector: sqrt(pdf) on the grid, unit norm.
+
+    The norm is taken at a power-of-two scale where the plain sum of
+    squares underflows or overflows, so a target far below or above the
+    normal float range keeps all its digits.
+    """
     _check_dense(n_qubits, "target_amplitudes")
     out = np.empty(2**n_qubits)
     for lo, ys in _target_blocks(spec, n_qubits):
         out[lo : lo + ys.size] = ys
-    nrm = np.linalg.norm(out)
-    if nrm == 0.0:
-        raise ValueError("density vanishes on the entire grid")
-    out /= nrm
+    with np.errstate(over="ignore"):  # an overflowed sum is taken again
+        sq = out @ out
+    if _needs_rescale(sq, out.size):
+        np.ldexp(out, -_top_exponent([out]), out=out)
+        sq = out @ out
+    out /= np.sqrt(sq)
     return out
 
 

@@ -2,8 +2,9 @@
 
 The encode entry point drives the full construction for one target
 (fit, assemble, compress, extract) and returns the circuit together with
-a report carrying fidelity, the per-stage error split, and the run it
-was made from, whose bond profiles and stage timings the report reads.
+a report carrying the run it was made from, whose bond profiles and
+stage timings the report reads, and, where the register fits the dense
+limit, the per-stage error split and the fidelity.
 Sweep helpers fan the same run out over standard deviations, polynomial
 degrees, or system sizes and emit rows with a stable column order, so
 repeated campaigns diff cleanly (timing columns excepted). Circuits
@@ -28,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import DecayFit, _check_chi, chi_bound, fit_decay, max_derivative
-from .circuits import Circuit, Gate, _distinct, _gate, circuit_to_mps
+from .circuits import Circuit, Gate, _distinct, _gate
 from .functions import DistributionSpec, target_amplitudes
 from .mps import (
     CompressionOptions,
@@ -41,7 +42,6 @@ from .simulate import (
     ErrorDecomposition,
     PipelineResult,
     RunConfig,
-    _gate_fidelity,
     _stage,
     build_pipeline,
     error_decomposition,
@@ -89,16 +89,23 @@ class RunReport:
 
     ``result`` is the run itself: every stage's output and timing, from
     which the bond profiles, the gate count and the timings are read.
-    The report adds only what verification measured: ``fidelity``,
-    against what (``fidelity_vs``), and the per-stage ``errors`` on
-    registers within the dense limit.
+    The report adds only what verification measured, the per-stage
+    ``errors`` against the exact target, and ``fidelity`` and
+    ``fidelity_vs`` are read off them. Above the dense limit nothing is
+    measured: all three are ``None``.
     """
 
     config: RunConfig
     result: PipelineResult
-    fidelity: float
-    fidelity_vs: str  # "exact_target" or "compressed_mps" above the dense limit
     errors: ErrorDecomposition | None
+
+    @property
+    def fidelity(self) -> float | None:
+        return None if self.errors is None else self.errors.fidelity
+
+    @property
+    def fidelity_vs(self) -> str | None:
+        return None if self.errors is None else "exact_target"
 
     def to_dict(self) -> dict:
         res = self.result
@@ -134,12 +141,12 @@ class RunReport:
 def encode(config: RunConfig) -> tuple[Circuit, RunReport]:
     """Run the full construction and report fidelity plus error sources.
 
-    When the register fits the dense limit, fidelity is measured against
-    the exact target state; otherwise only against the compressed MPS,
-    by the same MPS overlap that gives ``gate_error`` below the limit,
-    and the report says so. Verification is timed as a fourth stage,
-    ``verify``, in ``report.result.timings_ms``. The report keeps the
-    run's :class:`PipelineResult` as ``report.result``.
+    When the register fits the dense limit, the run is verified against
+    the exact target state by :func:`error_decomposition`, timed as a
+    fourth stage, ``verify``, in ``report.result.timings_ms``. Above it
+    no stage verifies the run, and the report's ``errors``, ``fidelity``
+    and ``fidelity_vs`` are ``None``. The report keeps the run's
+    :class:`PipelineResult` as ``report.result``.
     """
     result = build_pipeline(
         config.spec,
@@ -149,14 +156,11 @@ def encode(config: RunConfig) -> tuple[Circuit, RunReport]:
         config.samples_per_region,
         config.compression,
     )
-    with _stage("verify", result.timings_ms):
-        if config.n_qubits <= dense_qubit_limit():
+    errors = None
+    if config.n_qubits <= dense_qubit_limit():
+        with _stage("verify", result.timings_ms):
             errors = error_decomposition(result)
-            fid, fid_vs = errors.fidelity, "exact_target"
-        else:
-            errors, fid_vs = None, "compressed_mps"
-            fid = _gate_fidelity(result.compressed, circuit_to_mps(result.circuit))
-    return result.circuit, RunReport(config, result, fid, fid_vs, errors)
+    return result.circuit, RunReport(config, result, errors)
 
 
 @dataclass(frozen=True)
@@ -170,7 +174,8 @@ class SweepRow:
     k: int
     p: int
     chi: int
-    # Results; a failed cell keeps these defaults.
+    # Results; a failed cell keeps these defaults, and an unverified one
+    # (above the dense limit) its four NaN figures.
     fidelity: float = float("nan")
     pp_err: float = float("nan")
     mps_err: float = float("nan")
@@ -206,13 +211,15 @@ def _run_cell(config: RunConfig) -> SweepRow:
     except Exception as exc:  # record the failure, keep sweeping
         return SweepRow(**base, error=str(exc))
     err, t = report.errors, report.result.timings_ms
-    nan = float("nan")
+    figures = {} if err is None else {
+        "fidelity": err.fidelity,
+        "pp_err": err.pp_error,
+        "mps_err": err.mps_error,
+        "gate_err": err.gate_error,
+    }
     return SweepRow(
         **base,
-        fidelity=report.fidelity,
-        pp_err=err.pp_error if err else nan,
-        mps_err=err.mps_error if err else nan,
-        gate_err=err.gate_error if err else nan,
+        **figures,
         gate_count=len(circuit.gates),
         t_fit_ms=t["fit"],
         t_compress_ms=t["compress"],
@@ -230,7 +237,8 @@ def sweep_sigma(
 
     ``specs`` supplies the distribution templates (defaults to the
     config's); each template keeps its own domain and mu while sigma is
-    swept. Failed cells carry NaNs and the error message.
+    swept. Failed cells carry NaNs and the error message; cells above
+    the dense limit, which are not verified, carry NaN figures.
     """
     specs = list(specs) if specs is not None else [config.spec]
     n_values = list(n_values) if n_values is not None else [config.n_qubits]

@@ -21,8 +21,10 @@ the total infidelity. It never simulates the gates: the circuit's state
 is the rank-2 MPS that :func:`circuit_to_mps` reads off them. That MPS
 and the assembled one are each cut at qubit N // 2, and the exact
 target is read once, in blocks, against both tails stacked, for the fit
-and the total. So no 2^N vector is made. Compression and gate drops are
-MPS overlaps.
+and the total. So no 2^N vector is made, but the target is still read
+at all 2^N grid points, so it is refused above the dense limit: there
+nothing measures the circuit against the target. Compression and gate
+drops are MPS overlaps.
 """
 
 from __future__ import annotations
@@ -39,7 +41,9 @@ from .functions import (
     DistributionSpec,
     Grid,
     PiecewisePoly,
+    _needs_rescale,
     _target_blocks,
+    _top_exponent,
     fit_piecewise,
     assemble,
 )
@@ -192,9 +196,9 @@ class ErrorDecomposition:
     """Infidelity split by construction stage.
 
     ``pp_error`` = 1 - |<exact target|assembled>| / ||assembled||, the fit
-    as the MPS encodes it, and ``total`` = 1 - |<exact target|circuit
+    as the MPS encodes it, and ``fidelity`` = |<exact target|circuit
     state>|, both read off one product of the target with the two MPS
-    cut at qubit N // 2.
+    cut at qubit N // 2; ``total`` is 1 - ``fidelity``.
     ``mps_error`` = 1 - |<assembled|compressed>| / ||assembled|| and
     ``gate_error`` = 1 - |<compressed|circuit state>| are MPS overlaps.
     ||assembled|| is :meth:`Mps.norm`, taken once for both.
@@ -206,8 +210,11 @@ class ErrorDecomposition:
     pp_error: float
     mps_error: float
     gate_error: float
-    total: float
     fidelity: float
+
+    @property
+    def total(self) -> float:
+        return 1.0 - self.fidelity
 
     @property
     def shares(self) -> dict[str, float]:
@@ -220,11 +227,6 @@ class ErrorDecomposition:
         }
 
 
-def _gate_fidelity(compressed: Mps, circuit_state: Mps) -> float:
-    # |<compressed|circuit state>| by core contraction, valid at any N.
-    return min(abs(overlap(compressed, circuit_state)), 1.0)
-
-
 def error_decomposition(result: PipelineResult) -> ErrorDecomposition:
     """Attribute a run's end-to-end infidelity to fit, compression, and gates.
 
@@ -234,6 +236,9 @@ def error_decomposition(result: PipelineResult) -> ErrorDecomposition:
     (2^h, 2^(N-h)) view: each block times both tails stacked gives its
     rows of the fit and total overlaps, and its sum of squares adds to
     ||target||^2, which divides them at the end. No 2^N vector is made.
+    Where that sum is too small to be exact to rounding, or overflows,
+    the target is read again scaled by a power of two, which moves no
+    figure.
     """
     n = result.grid.n_qubits
     _check_dense(n, "error_decomposition")
@@ -244,25 +249,32 @@ def error_decomposition(result: PipelineResult) -> ErrorDecomposition:
     c_head, c_tail = _halves(circ, h)
     tails = np.vstack([a_tail, c_tail])
     width = tails.shape[1]
-    cut, sq = np.zeros((len(a_head), len(tails))), 0.0
-    for lo, ys in _target_blocks(result.spec, n, width):
-        sq += ys @ ys
-        r, c = divmod(lo, width)
-        # whole rows, or a piece of one row when a row is wider than a block
-        rows = ys.reshape(-1, min(width, ys.size))
-        cut[r : r + len(rows)] += rows @ tails[:, c : c + rows.shape[1]].T
-    if sq == 0.0:
-        raise ValueError("density vanishes on the entire grid")
+
+    def read(exponent: int) -> tuple[np.ndarray, float]:
+        cut, sq = np.zeros((len(a_head), len(tails))), 0.0
+        with np.errstate(over="ignore"):  # an overflowed sum is read again
+            for lo, ys in _target_blocks(result.spec, n, width):
+                if exponent:
+                    ys = np.ldexp(ys, -exponent)
+                sq += ys @ ys
+                rows = ys.reshape(-1, width)
+                cut[lo // width : lo // width + len(rows)] += rows @ tails.T
+        return cut, sq
+
+    cut, sq = read(0)
+    if _needs_rescale(sq, 2**n):
+        blocks = (ys for _, ys in _target_blocks(result.spec, n))
+        cut, sq = read(_top_exponent(blocks))
     cut /= np.sqrt(sq)
     a_norm = a.norm()
     bond = len(a_tail)
     f_pp = min(abs(float(np.sum(a_head * cut[:, :bond]))) / a_norm, 1.0)
     f_total = min(abs(float(np.sum(c_head * cut[:, bond:]))), 1.0)
     f_compress = min(abs(overlap(a, result.compressed)) / a_norm, 1.0)
+    f_gate = min(abs(overlap(result.compressed, circ)), 1.0)
     return ErrorDecomposition(
         pp_error=1.0 - f_pp,
         mps_error=1.0 - f_compress,
-        gate_error=1.0 - _gate_fidelity(result.compressed, circ),
-        total=1.0 - f_total,
+        gate_error=1.0 - f_gate,
         fidelity=f_total,
     )

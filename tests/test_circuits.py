@@ -230,6 +230,26 @@ class TestCircuitToMps:
                 got = circuit_to_mps(circ).to_statevector()
                 assert np.max(np.abs(got - run(circ))) <= 1e-15, n
 
+    @pytest.mark.parametrize("kind", ["gaussian", "lognormal", "lorentzian"])
+    def test_reads_back_every_core_bit_for_bit(self, kind):
+        # Extraction stores each compressed core verbatim as gate columns, so
+        # the circuit's state is the compressed MPS itself: |<compressed|
+        # circuit state>| is 1 by construction. The left-bond padding rows are
+        # the gates' free columns; they meet only the right-bond padding zeros.
+        domain = {"lognormal": (0.0, 5.0)}.get(kind, (0.0, 2.0))
+        cells = [(n, p) for n in (5, 8, 10, 13, 16, 20) for p in (3, 5)]
+        cells += [(n, 3) for n in (64, 512, 1023)]
+        for sigma in (0.1, 0.44, 1.0):
+            spec = DistributionSpec(kind, mu=1.0, sigma=sigma, domain=domain)
+            for n, p in cells:
+                res = build_pipeline(spec, n, degree=p)
+                back = circuit_to_mps(res.circuit).cores
+                assert len(back) == n
+                for t, (got, core) in enumerate(zip(back, res.compressed.cores)):
+                    left, _, right = core.shape
+                    assert np.array_equal(got[:left, :, :right], core), (sigma, n, p, t)
+                    assert not got[:left, :, right:].any(), (sigma, n, p, t)
+
     def test_rejects_non_staircase(self):
         g = Gate((0,), np.eye(2))
         circ = Circuit(n_qubits=2, gates=(g, g))

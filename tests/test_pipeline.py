@@ -82,8 +82,10 @@ class TestEncode:
         cfg = gaussian_config(n=6)
         circuit, report = encode(cfg)
         assert [f.name for f in dataclasses.fields(report)] == [
-            "config", "result", "fidelity", "fidelity_vs", "errors"
+            "config", "result", "errors"
         ]
+        assert report.fidelity == report.errors.fidelity
+        assert report.fidelity_vs == "exact_target"
         assert report.config is cfg
         assert report.result.circuit is circuit
         d, res = report.to_dict(), report.result
@@ -106,10 +108,22 @@ class TestEncode:
         )
 
     def test_above_dense_limit_flagged(self, monkeypatch):
+        # Nothing is verified above the limit, and the report says so.
         monkeypatch.setenv("MPSPREP_DENSE_LIMIT", "7")
         _, report = encode(gaussian_config(n=8))
-        assert report.fidelity_vs == "compressed_mps"
-        assert report.fidelity >= 1.0 - 1e-8  # extraction is exact at rank 2
+        assert (report.errors, report.fidelity, report.fidelity_vs) == (None,) * 3
+        assert list(report.result.timings_ms) == ["fit", "compress", "extract"]
+
+    @pytest.mark.parametrize("n", [25, 64, 1023])
+    def test_fidelity_missing_past_default_limit(self, n, monkeypatch, capsys):
+        monkeypatch.delenv("MPSPREP_DENSE_LIMIT", raising=False)
+        _, report = encode(gaussian_config(n=n))
+        d = report.to_dict()
+        assert d["fidelity"] is None and d["fidelity_vs"] is None
+        assert "errors" not in d and "verify" not in d["timings_ms"]
+        assert main(["encode", "--n", str(n)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"fidelity not measured: N={n} is above the dense limit of 24\n")
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="support_bit"):
@@ -174,8 +188,8 @@ class TestEncode:
         # overflows, so no stage may normalize it by overlap(m, m).
         spec = DistributionSpec("lorentzian", mu=1.0, sigma=0.1, domain=(0.0, 2.0))
         _, report = encode(RunConfig(spec=spec, n_qubits=1016))
-        assert report.fidelity_vs == "compressed_mps"
-        assert report.fidelity >= 1.0 - 1e-10
+        assert abs(report.result.compressed.norm() - 1.0) <= 1e-10
+        assert report.result.compressed.max_bond <= 2
 
     def test_grid_finer_than_float_rejected(self):
         with pytest.raises(ValueError, match="1060 qubits on a domain of width 2"):
@@ -345,15 +359,6 @@ class TestErrorDecompositionReference:
         want = self.dense_reference(result)
         assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
 
-    def test_above_limit_fidelity_is_gate_overlap(self, monkeypatch):
-        cfg = gaussian_config(n=10, sigma=0.3)
-        result = build_pipeline(cfg.spec, cfg.n_qubits)
-        gate_err = error_decomposition(result).gate_error
-        monkeypatch.setenv("MPSPREP_DENSE_LIMIT", "8")
-        _, report = encode(cfg)
-        assert report.fidelity_vs == "compressed_mps"
-        assert abs(report.fidelity - (1.0 - gate_err)) <= 1e-14
-
 
 class TestSweeps:
     def test_sigma_rows_and_order(self):
@@ -384,6 +389,13 @@ class TestSweeps:
         assert len(rows) == 1
         assert rows[0].error
         assert np.isnan(rows[0].fidelity)
+
+    def test_unverified_cell_has_nan_figures(self, monkeypatch):
+        monkeypatch.setenv("MPSPREP_DENSE_LIMIT", "8")
+        (row,) = sweep_sigma(gaussian_config(n=10), [1.0])
+        assert not row.error and row.gate_count == 10
+        figures = (row.fidelity, row.pp_err, row.mps_err, row.gate_err)
+        assert all(np.isnan(x) for x in figures)
 
     def test_degree_sweep_monotone(self):
         rows = sweep_degree(gaussian_config(n=7, sigma=0.1), [1, 2, 3, 4, 5])
@@ -811,11 +823,27 @@ class TestCli:
         assert code == 0
         assert json.loads(rep.read_text())["config"]["domain"] == [0.125, 5.0]
 
-    def test_encode_runs_at_the_longest_default_lognormal_grid(self, capsys):
+    def test_encode_runs_at_the_longest_default_lognormal_grid(self, capsys, monkeypatch):
         # the default domain [0.125, 5] allows N <= 1024, and every such N runs
+        monkeypatch.delenv("MPSPREP_DENSE_LIMIT", raising=False)
         argv = ["encode", "--dist", "lognormal", "--sigma", "0.44", "--n", "1024"]
         assert main(argv) == 0
-        assert "fidelity" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "fidelity not measured: N=1024 is above the dense limit of 24" in out
+
+    def test_encode_above_limit_says_fidelity_not_measured(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("MPSPREP_DENSE_LIMIT", "8")
+        rep = tmp_path / "report.json"
+        assert main(["encode", "--n", "10", "--report", str(rep)]) == 0
+        out = capsys.readouterr().out
+        assert "fidelity not measured: N=10 is above the dense limit of 8\n" in out
+        assert "errors" not in out
+        report = json.loads(rep.read_text())
+        assert report["fidelity"] is None and report["fidelity_vs"] is None
+        assert "errors" not in report
+        assert '"fidelity": null' in rep.read_text()
 
     def test_validate_roundtrip(self, tmp_path, capsys):
         circ = tmp_path / "circuit.json"

@@ -7,7 +7,10 @@ from mpsprep import (
     Circuit,
     DistributionSpec,
     Gate,
+    Grid,
+    RunConfig,
     build_pipeline,
+    encode,
     error_decomposition,
     extract_circuit,
     fidelity,
@@ -151,6 +154,50 @@ class TestErrorDecomposition:
         assert 1 - dec.total >= product - 1e-6
 
 
+class TestTargetOutsideFloatSquares:
+    """A target whose squares leave the float range is normed at a
+    power-of-two scale: its figures match a reference taken in log space."""
+
+    CELLS = {
+        # exp(-z^2/4) is about 1e-220 on the grid: every square underflows
+        "gaussian": (
+            DistributionSpec("gaussian", mu=0.0, sigma=1.0, domain=(45.0, 47.0)),
+            lambda xs: -xs**2 / 4,
+        ),
+        # squares of about 1e-320 sum to a subnormal float that keeps only
+        # about 8 digits: amplitudes normed by it are off by 2e-8, and the
+        # fidelity by 2e-7
+        "gaussian-subnormal": (
+            DistributionSpec("gaussian", mu=0.0, sigma=1.0, domain=(38.3, 38.5)),
+            lambda xs: -xs**2 / 4,
+        ),
+        # the shape 1/sqrt(1 + z^2) is about 1e-280 at z = x / 1e-300
+        "lorentzian": (
+            DistributionSpec("lorentzian", mu=0.0, sigma=1e-300, domain=(1e-20, 2e-20)),
+            lambda xs: -np.log(np.hypot(1e-300, xs)),
+        ),
+        # sqrt(pdf) is 1e154: the sum of 1024 squares overflows
+        "overflow": (
+            DistributionSpec("custom", domain=(0.0, 1.0), pdf_fn=lambda x: 1e308 + 0 * x),
+            lambda xs: np.zeros_like(xs),
+        ),
+    }
+
+    @pytest.mark.parametrize("cell", sorted(CELLS))
+    def test_figures_match_log_space_reference(self, cell):
+        spec, log_amp = self.CELLS[cell]
+        n = 10
+        logs = log_amp(Grid(n, *spec.domain).points())
+        want = np.exp(logs - np.max(logs))
+        want /= np.linalg.norm(want)
+        assert np.max(np.abs(target_amplitudes(spec, n) - want)) <= 1e-12
+        _, report = encode(RunConfig(spec=spec, n_qubits=n))
+        res, dec = report.result, report.errors
+        a = res.assembled.to_statevector()
+        assert abs(dec.pp_error - (1.0 - abs(want @ a) / np.linalg.norm(a))) <= 1e-12
+        assert abs(dec.fidelity - abs(want @ run(res.circuit))) <= 1e-12
+
+
 class TestFitErrorMatchesPolyval:
     DOMAINS = {
         "gaussian": (0.0, 2.0), "lorentzian": (0.0, 2.0), "lognormal": (0.0, 5.0)
@@ -237,8 +284,9 @@ class TestSplitOverlap:
     @pytest.mark.parametrize("block", [20, 200])
     def test_block_size_keeps_figures(self, spec, block, monkeypatch):
         # N = 11 cuts at h = 5 into rows of 64 points. A block of 20 is
-        # smaller than a row, so rows come in pieces of 16; one of 200 holds
-        # three rows, 192 points, which do not divide the 2048-point grid.
+        # smaller than a row, so each block is one whole row; one of 200
+        # holds three rows, 192 points, which do not divide the 2048-point
+        # grid.
         res = build_pipeline(spec, 11)
         want = vars(error_decomposition(res))
         monkeypatch.setattr(functions, "_BLOCK", block)
