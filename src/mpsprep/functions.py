@@ -268,44 +268,52 @@ def _target_blocks(spec: DistributionSpec, n_qubits: int, row: int = 1):
         yield lo, _sqrt_density(spec, xs)
 
 
-def _needs_rescale(sq: float, size: int) -> bool:
-    """Whether a sum of ``size`` squares must be taken again at another
-    scale: it overflowed, or it is below ``size`` times the smallest
-    normal float. Below that, the squares flushed under the normal range,
-    each off by up to half the subnormal spacing, may move it by more
-    than its rounding.
+def _unit_target(
+    spec: DistributionSpec, n_qubits: int, tails: np.ndarray | None = None
+) -> np.ndarray:
+    """The unit-norm target: the 2^N vector, or given ``tails`` of shape
+    (m, w) its (2^N / w, w) row view times ``tails.T``, with no 2^N vector.
+
+    The target is read once, in blocks of whole rows, and divided by the
+    blocks' summed squares. Where that sum overflows, or is below 2^N
+    times the smallest normal float (squares flushed under the normal
+    range may then move it by more than its rounding), the target is
+    read again scaled by 2^-e, 2^(e-1) <= its largest value < 2^e, which
+    moves no figure.
     """
-    return not size * _TINY <= sq < math.inf
+    size = 2**n_qubits
+    width = 1 if tails is None else tails.shape[1]
+    shape = size if tails is None else (size // width, len(tails))
 
+    def read(exponent: int) -> tuple[np.ndarray, float]:
+        out, sq = np.empty(shape), 0.0
+        with np.errstate(over="ignore"):  # an overflowed sum is read again
+            for lo, ys in _target_blocks(spec, n_qubits, width):
+                if exponent:
+                    ys = np.ldexp(ys, -exponent)
+                sq += ys @ ys
+                rows = ys if tails is None else ys.reshape(-1, width) @ tails.T
+                out[lo // width : lo // width + len(rows)] = rows
+        return out, sq
 
-def _top_exponent(blocks) -> int:
-    """The binary exponent e of the largest value in ``blocks`` of the
-    target, 2^(e-1) <= max < 2^e: scaled by 2^-e, its sum of squares is
-    normal."""
-    top = max(float(np.max(ys)) for ys in blocks)
-    if top == 0.0:
-        raise ValueError("density vanishes on the entire grid")
-    return math.frexp(top)[1]
+    out, sq = read(0)
+    if not size * _TINY <= sq < math.inf:
+        top = max(float(np.max(ys)) for _, ys in _target_blocks(spec, n_qubits, width))
+        if top == 0.0:
+            raise ValueError("density vanishes on the entire grid")
+        out, sq = read(math.frexp(top)[1])
+    out /= np.sqrt(sq)
+    return out
 
 
 def target_amplitudes(spec: DistributionSpec, n_qubits: int) -> np.ndarray:
     """Exact normalized amplitude vector: sqrt(pdf) on the grid, unit norm.
 
-    The norm is taken at a power-of-two scale where the plain sum of
-    squares underflows or overflows, so a target far below or above the
-    normal float range keeps all its digits.
+    It is :func:`_unit_target`'s vector, the verify stage's read of the
+    target, its norm and power-of-two rescale included.
     """
     _check_dense(n_qubits, "target_amplitudes")
-    out = np.empty(2**n_qubits)
-    for lo, ys in _target_blocks(spec, n_qubits):
-        out[lo : lo + ys.size] = ys
-    with np.errstate(over="ignore"):  # an overflowed sum is taken again
-        sq = out @ out
-    if _needs_rescale(sq, out.size):
-        np.ldexp(out, -_top_exponent([out]), out=out)
-        sq = out @ out
-    out /= np.sqrt(sq)
-    return out
+    return _unit_target(spec, n_qubits)
 
 
 def _support_bit(n_qubits: int, support_bit) -> int:

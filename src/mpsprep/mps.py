@@ -153,15 +153,15 @@ class Mps:
 
     def amplitude(self, bits) -> float:
         """Contract the chain along one bitstring: a str of 0/1 or a
-        sequence of ints (a bool or float entry is a ValueError)."""
-        b = [int(x) if isinstance(x, str) else _as_int(x, "bits") for x in bits]
+        sequence of ints (a bool, float or other character is a ValueError)."""
+        b = [x if isinstance(x, str) else _as_int(x, "bits") for x in bits]
         if len(b) != self.n_sites:
             raise ValueError(f"expected {self.n_sites} bits, got {len(b)}")
-        if any(x not in (0, 1) for x in b):
+        if any(x not in (0, 1, "0", "1") for x in b):
             raise ValueError("bits must be 0 or 1")
         v = np.ones((1,))
         for core, s in zip(self.cores, b):
-            v = v @ core[:, s, :]
+            v = v @ core[:, int(s), :]
         return float(v[0])
 
     def to_statevector(self) -> np.ndarray:

@@ -19,12 +19,13 @@ compress, extract) and attributes its final infidelity to the three
 sources by successive overlap drops; shares are each drop divided by
 the total infidelity. It never simulates the gates: the circuit's state
 is the rank-2 MPS that :func:`circuit_to_mps` reads off them. That MPS
-and the assembled one are each cut at qubit N // 2, and the exact
-target is read once, in blocks, against both tails stacked, for the fit
-and the total. So no 2^N vector is made, but the target is still read
-at all 2^N grid points, so it is refused above the dense limit: there
-nothing measures the circuit against the target. Compression and gate
-drops are MPS overlaps.
+and the assembled one are each cut at qubit N // 2, and the unit target
+is read against both tails stacked, for the fit and the total, by
+``functions._unit_target``, the one reader of the target, which
+``target_amplitudes`` calls too. So no 2^N vector is made, but the
+target is still read at all 2^N grid points, so it is refused above the
+dense limit: there nothing measures the circuit against the target.
+Compression and gate drops are MPS overlaps.
 """
 
 from __future__ import annotations
@@ -41,9 +42,8 @@ from .functions import (
     DistributionSpec,
     Grid,
     PiecewisePoly,
-    _needs_rescale,
-    _target_blocks,
-    _top_exponent,
+    _support_bit,
+    _unit_target,
     fit_piecewise,
     assemble,
 )
@@ -125,7 +125,11 @@ def _stage(name: str, timings_ms: dict[str, float]):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """All knobs of one encoding run; the pipeline is fully deterministic."""
+    """All knobs of one encoding run; the pipeline is fully deterministic.
+
+    Each field is checked by its owner's rule. A rule that needs the grid
+    or the fit is left to that stage, so a bad sweep cell fails alone.
+    """
 
     spec: DistributionSpec
     n_qubits: int
@@ -135,12 +139,16 @@ class RunConfig:
     compression: CompressionOptions = CompressionOptions()
 
     def __post_init__(self):
+        if not isinstance(self.spec, DistributionSpec):
+            raise ValueError(f"spec must be a DistributionSpec, got {self.spec!r}")
+        if not isinstance(self.compression, CompressionOptions):
+            msg = f"compression must be a CompressionOptions, got {self.compression!r}"
+            raise ValueError(msg)
         for name in ("n_qubits", "support_bit", "degree", "samples_per_region"):
             _int_field(self, name)
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be >= 1")
-        if not 0 <= self.support_bit < self.n_qubits:
-            raise ValueError("need 0 <= support_bit < n_qubits")
+        _support_bit(self.n_qubits, self.support_bit)
         if self.degree < 0:
             raise ValueError(f"degree must be >= 0, got {self.degree}")
 
@@ -232,13 +240,10 @@ def error_decomposition(result: PipelineResult) -> ErrorDecomposition:
 
     The circuit's state is read off its gates by :func:`circuit_to_mps`.
     It and the assembled MPS are each cut at qubit h = N // 2, and the
-    exact target is read once, in blocks of whole rows of its
-    (2^h, 2^(N-h)) view: each block times both tails stacked gives its
-    rows of the fit and total overlaps, and its sum of squares adds to
-    ||target||^2, which divides them at the end. No 2^N vector is made.
-    Where that sum is too small to be exact to rounding, or overflows,
-    the target is read again scaled by a power of two, which moves no
-    figure.
+    unit target's (2^h, 2^(N-h)) view times both tails stacked, from
+    :func:`functions._unit_target`, gives the rows of the fit and total
+    overlaps: the target is read once, in blocks, and normed as
+    ``target_amplitudes`` norms it. No 2^N vector is made.
     """
     n = result.grid.n_qubits
     _check_dense(n, "error_decomposition")
@@ -247,25 +252,7 @@ def error_decomposition(result: PipelineResult) -> ErrorDecomposition:
     h = n // 2
     a_head, a_tail = _halves(a, h)
     c_head, c_tail = _halves(circ, h)
-    tails = np.vstack([a_tail, c_tail])
-    width = tails.shape[1]
-
-    def read(exponent: int) -> tuple[np.ndarray, float]:
-        cut, sq = np.zeros((len(a_head), len(tails))), 0.0
-        with np.errstate(over="ignore"):  # an overflowed sum is read again
-            for lo, ys in _target_blocks(result.spec, n, width):
-                if exponent:
-                    ys = np.ldexp(ys, -exponent)
-                sq += ys @ ys
-                rows = ys.reshape(-1, width)
-                cut[lo // width : lo // width + len(rows)] += rows @ tails.T
-        return cut, sq
-
-    cut, sq = read(0)
-    if _needs_rescale(sq, 2**n):
-        blocks = (ys for _, ys in _target_blocks(result.spec, n))
-        cut, sq = read(_top_exponent(blocks))
-    cut /= np.sqrt(sq)
+    cut = _unit_target(result.spec, n, np.vstack([a_tail, c_tail]))
     a_norm = a.norm()
     bond = len(a_tail)
     f_pp = min(abs(float(np.sum(a_head * cut[:, :bond]))) / a_norm, 1.0)

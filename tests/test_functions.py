@@ -18,7 +18,7 @@ from mpsprep import (
     poly_mps,
     target_amplitudes,
 )
-from mpsprep.functions import _sqrt_density
+from mpsprep.functions import _sqrt_density, _unit_target
 
 from conftest import FAMILIES, NARROW_LORENTZIAN, polyval_values
 
@@ -294,6 +294,31 @@ class TestTargetAmplitudes:
         spec = DistributionSpec("gaussian", mu=1.0, sigma=1.0, domain=(0.0, 2.0))
         with pytest.raises(ValueError, match="target_amplitudes .*limit"):
             target_amplitudes(spec, 10)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DistributionSpec("gaussian", mu=1.0, sigma=0.1, domain=(0.0, 2.0)),
+            DistributionSpec("lognormal", mu=1.0, sigma=0.1, domain=(0.0, 5.0)),
+        ],
+        ids=lambda s: s.kind,
+    )
+    def test_unit_norm_to_rounding_past_one_block(self, spec):
+        # 2^20 points are 16 blocks; the norm is their blocked sum of
+        # squares, as the verify stage takes it, not one 2^20-term dot,
+        # which is off by about 1e-14 here.
+        v = target_amplitudes(spec, 20)
+        assert abs(math.fsum(v * v) - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("n", [5, 12, 18])
+    def test_row_view_times_tails_is_the_vector_times_tails(self, n):
+        # The verify stage's form of the one read: the (2^h, 2^(N-h)) row
+        # view of the unit target times tails.T, with no 2^N vector.
+        spec = DistributionSpec("lorentzian", mu=1.0, sigma=0.44, domain=(0.0, 2.0))
+        h = n // 2
+        tails = np.random.default_rng(n).standard_normal((3, 2 ** (n - h)))
+        want = target_amplitudes(spec, n).reshape(2**h, -1) @ tails.T
+        assert np.max(np.abs(_unit_target(spec, n, tails) - want)) <= 1e-15
 
 
 class TestFitPiecewise:

@@ -158,8 +158,10 @@ class TestAmplitude:
             ([0, True, 0], "bits must be an integer"),
             ([0, 2, 0], "bits must be 0 or 1"),
             ("021", "bits must be 0 or 1"),
+            ("0a1", "bits must be 0 or 1"),
+            (["0", "10", "1"], "bits must be 0 or 1"),
         ],
-        ids=["float", "bool", "int-2", "str-2"],
+        ids=["float", "bool", "int-2", "str-2", "str-letter", "str-two-chars"],
     )
     def test_rejects_an_entry_that_is_not_a_bit(self, bits, match):
         with pytest.raises(ValueError, match=match):

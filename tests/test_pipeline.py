@@ -139,6 +139,24 @@ class TestEncode:
         assert {type(cfg.n_qubits), type(cfg.support_bit), type(cfg.degree)} == {int}
         json.dumps(encode(cfg)[1].to_dict())  # the echo stays JSON
 
+    def test_config_checks_each_field_with_its_owners_rule(self):
+        # spec and compression must be their classes, named in a
+        # ValueError before any stage runs; the support_bit range is the
+        # fit's own rule and message.
+        spec = gaussian_config().spec
+        cases = [
+            ({"spec": "gaussian"}, "spec must be a DistributionSpec, got 'gaussian'"),
+            ({"compression": None}, "compression must be a CompressionOptions, got None"),
+            ({"compression": 2}, "compression must be a CompressionOptions, got 2"),
+            ({"support_bit": 8}, r"support_bit must be in \[0, 8\), got 8"),
+            ({"support_bit": -1}, r"support_bit must be in \[0, 8\), got -1"),
+        ]
+        for fields, match in cases:
+            with pytest.raises(ValueError, match=f"^{match}$"):
+                RunConfig(**{"spec": spec, "n_qubits": 8, **fields})
+        with pytest.raises(ValueError, match="^compression must be a CompressionOptions"):
+            build_pipeline(spec, 8, compression={"target_chi": 2})
+
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError, match="degree must be >= 0, got -1"):
             gaussian_config(degree=-1)
@@ -389,6 +407,18 @@ class TestSweeps:
         assert len(rows) == 1
         assert rows[0].error
         assert np.isnan(rows[0].fidelity)
+
+    def test_cell_rule_fails_its_cell_not_the_sweep(self):
+        # samples >= degree + 1 and the grid spacing floor are the fit's
+        # and the grid's rules, not RunConfig's: a sweep that breaks one
+        # records that cell as failed and runs the others.
+        rows = sweep_degree(gaussian_config(n=6, samples_per_region=4), [1, 3, 4])
+        assert [bool(r.error) for r in rows] == [False, False, True]
+        assert rows[2].error == (
+            "fit stage: need at least degree+1=5 samples per region, got 4"
+        )
+        rows = sweep_sigma(gaussian_config(n=5), [1.0], n_values=[5, 1100])
+        assert not rows[0].error and "below the smallest normal float" in rows[1].error
 
     def test_unverified_cell_has_nan_figures(self, monkeypatch):
         monkeypatch.setenv("MPSPREP_DENSE_LIMIT", "8")
