@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -115,8 +114,9 @@ class Grid:
             raise ValueError(f"need a < b, got [{self.a}, {self.b}]")
         if not math.isfinite(self.width):
             raise ValueError(f"domain width {self.width} is not finite")
-        # Exact rational test: 2^N - 1 overflows a float from N = 1024 on.
-        if Fraction(self.width) < Fraction(_TINY) * (self.size - 1):
+        # width / (2^N - 1) < _TINY = 2^-1022, exactly: 2^N - 1 overflows a float.
+        p, q = self.width.as_integer_ratio()
+        if p << 1022 < (self.size - 1) * q:
             raise ValueError(
                 f"{self.n_qubits} qubits on a domain of width {self.width:g} give a "
                 f"grid spacing below the smallest normal float ({_TINY:.3g})"

@@ -60,3 +60,20 @@ def test_benchmark_oracle_selfcheck():
     cmd = [sys.executable, str(ROOT / "perfbench" / "selfcheck.py")]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120, cwd=ROOT)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_setup_loads_no_scipy_or_fractions():
+    # What the benchmark's setup probe times: a cold `import mpsprep` and
+    # one warm-up encode. The package imports no scipy, and the grid's
+    # exact spacing test needs no `fractions` (which loads `decimal`).
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "import mpsprep\n"
+        "spec = mpsprep.DistributionSpec('gaussian', 1.0, 1.0, (0.0, 2.0))\n"
+        "mpsprep.encode(mpsprep.RunConfig(spec=spec, n_qubits=8))\n"
+        "print(sorted({'scipy', 'fractions'} & set(sys.modules)))\n"
+    )
+    cmd = [sys.executable, "-c", code, str(ROOT / "src")]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

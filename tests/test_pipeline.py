@@ -36,7 +36,7 @@ from mpsprep import (
 from mpsprep.cli import main
 from mpsprep.pipeline import _csv
 
-from conftest import NARROW_LORENTZIAN, misplaced_terminal_circuit
+from conftest import FAMILIES, NARROW_LORENTZIAN, misplaced_terminal_circuit
 
 
 def gaussian_config(n=8, sigma=1.0, **kw):
@@ -378,6 +378,14 @@ class TestErrorDecompositionReference:
         assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
 
 
+def _untimed(rows):
+    """Sweep rows with the timing columns, which vary run to run, zeroed."""
+    return [
+        dataclasses.replace(r, t_fit_ms=0.0, t_compress_ms=0.0, t_extract_ms=0.0)
+        for r in rows
+    ]
+
+
 class TestSweeps:
     def test_sigma_rows_and_order(self):
         cfg = gaussian_config(n=5)
@@ -409,16 +417,43 @@ class TestSweeps:
         assert np.isnan(rows[0].fidelity)
 
     def test_cell_rule_fails_its_cell_not_the_sweep(self):
-        # samples >= degree + 1 and the grid spacing floor are the fit's
-        # and the grid's rules, not RunConfig's: a sweep that breaks one
-        # records that cell as failed and runs the others.
-        rows = sweep_degree(gaussian_config(n=6, samples_per_region=4), [1, 3, 4])
-        assert [bool(r.error) for r in rows] == [False, False, True]
-        assert rows[2].error == (
-            "fit stage: need at least degree+1=5 samples per region, got 4"
-        )
-        rows = sweep_sigma(gaussian_config(n=5), [1.0], n_values=[5, 1100])
-        assert not rows[0].error and "below the smallest normal float" in rows[1].error
+        # Every rule a cell can break, the fit's, the grid's and the
+        # config's alike, fails that cell's row alone: the row carries the
+        # requested value, the message and NaN figures, and the other rows
+        # are those of the same sweep without the bad value.
+        g5, g6 = gaussian_config(n=5), gaussian_config(n=6)
+        few = gaussian_config(n=6, samples_per_region=4)
+        cases = [  # (sweep with `bad` appended, column, bad value, message)
+            (lambda bad: sweep_degree(few, [1, 3, *bad]), "p", 4,
+             "fit stage: need at least degree+1=5 samples per region, got 4"),
+            (lambda bad: sweep_sigma(g5, [1.0], n_values=[5, *bad]), "N", 1100,
+             "1100 qubits on a domain of width 2 give a grid spacing below the "
+             "smallest normal float (2.23e-308)"),
+            (lambda bad: sweep_sigma(g5, [1.0], n_values=[5, *bad]), "N", 3,
+             "support_bit must be in [0, 3), got 3"),
+            (lambda bad: sweep_sigma(g5, [1.0, *bad]), "sigma", -1.0,
+             "sigma must be finite and > 0, got -1.0"),
+            (lambda bad: sweep_degree(g6, [3, *bad]), "p", 2.5,
+             "degree must be an integer, got 2.5"),
+        ]
+        for sweep, column, value, message in cases:
+            *good, failed = sweep([value])
+            assert (getattr(failed, column), failed.error) == (value, message)
+            figures = (failed.fidelity, failed.pp_err, failed.mps_err, failed.gate_err)
+            assert all(np.isnan(x) for x in figures) and failed.gate_count == 0
+            assert _untimed(good) == _untimed(sweep([]))
+
+    def test_one_shot_iterables_sweep_every_cell(self):
+        specs = [
+            DistributionSpec("gaussian", mu=1.0, sigma=1.0, domain=(0.0, 2.0)),
+            DistributionSpec("lorentzian", mu=1.0, sigma=1.0, domain=(0.0, 2.0)),
+        ]
+        cfg = gaussian_config(n=5)
+        rows = sweep_sigma(cfg, iter([0.6, 1.0]), specs=specs)
+        assert len(rows) == 4
+        assert _untimed(rows) == _untimed(sweep_sigma(cfg, [0.6, 1.0], specs=specs))
+        rows = sweep_degree(cfg, iter([2, 3]))
+        assert _untimed(rows) == _untimed(sweep_degree(cfg, [2, 3]))
 
     def test_unverified_cell_has_nan_figures(self, monkeypatch):
         monkeypatch.setenv("MPSPREP_DENSE_LIMIT", "8")
@@ -528,6 +563,17 @@ class TestOracleCompare:
         cfg = RunConfig(spec=spec, n_qubits=8, support_bit=0, degree=1)
         rep = oracle_compare(cfg)
         assert rep.ratio == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("spec", FAMILIES[:3], ids=lambda s: s.kind)
+    def test_optimal_fidelity_equals_the_dense_overlap(self, spec):
+        # The rank-chi TT-SVD b of the unit target t is an orthogonal
+        # projection of t, so <t|b>/||b|| = ||b||: the norm the report reads
+        # equals the dense overlap with the normalized baseline.
+        for n in (5, 8, 10):
+            t = target_amplitudes(spec, n)
+            dense = fidelity(t, to_mps_exact(t, 2).normalize().to_statevector())
+            f_optimal = oracle_compare(RunConfig(spec=spec, n_qubits=n)).f_optimal
+            assert abs(f_optimal - dense) <= 1e-14
 
     def test_stability_across_sizes(self):
         ratios = [
@@ -928,6 +974,18 @@ class TestCli:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 5
+
+    def test_sweep_sigma_bad_cell_is_a_failed_row(self, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        args = ["sweep-sigma", "--n", "5", "--n-list", "5,3", "--sigmas", "1"]
+        assert main(args + ["--out", str(out)]) == 0
+        header, good, bad = out.read_text().splitlines()
+        row = dict(zip(header.split(","), bad.split(",")))
+        assert (row["N"], row["fidelity"], row["gate_count"]) == ("3", "nan", "0")
+        assert float(dict(zip(header.split(","), good.split(",")))["fidelity"]) > 0.999
+        assert capsys.readouterr().err == (
+            "warning: gaussian sigma=1.0 N=3: support_bit must be in [0, 3), got 3\n"
+        )
 
     def test_sweep_sigma_config_domain(self, tmp_path):
         # a domain from the config file counts like the same --domain flag
