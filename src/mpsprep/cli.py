@@ -194,21 +194,21 @@ def _cmd_sweep_sigma(args) -> int:
         family = argparse.Namespace(**{**vars(args), "dist": d})
         specs.append(_resolve_run_config(family).spec)
     n_values = args.n_list or [config.n_qubits]
-    rows = sweep_sigma(config, args.sigmas, specs=specs, n_values=n_values)
-    _write_text(args.out, render_csv(rows))
-    failures = [r for r in rows if r.error]
-    for r in failures:
-        print(
-            f"warning: {r.distribution} sigma={r.sigma} N={r.N}: {r.error}",
-            file=sys.stderr,
-        )
-    return 0
+    return _write_sweep(args.out, sweep_sigma(config, args.sigmas, specs, n_values))
 
 
 def _cmd_sweep_degree(args) -> int:
     config = _resolve_run_config(args)
-    rows = sweep_degree(config, args.degrees)
-    _write_text(args.out, render_csv(rows))
+    return _write_sweep(args.out, sweep_degree(config, args.degrees))
+
+
+def _write_sweep(path: str | None, rows) -> int:
+    # A failed cell is a row of the CSV and a warning, not a failed command.
+    _write_text(path, render_csv(rows))
+    for r in rows:
+        if r.error:
+            cell = f"{r.distribution} sigma={r.sigma} N={r.N} p={r.p}"
+            print(f"warning: {cell}: {r.error}", file=sys.stderr)
     return 0
 
 

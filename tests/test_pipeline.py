@@ -441,6 +441,7 @@ class TestSweeps:
             assert (getattr(failed, column), failed.error) == (value, message)
             figures = (failed.fidelity, failed.pp_err, failed.mps_err, failed.gate_err)
             assert all(np.isnan(x) for x in figures) and failed.gate_count == 0
+            assert good and not any(r.error for r in good)
             assert _untimed(good) == _untimed(sweep([]))
 
     def test_one_shot_iterables_sweep_every_cell(self):
@@ -975,17 +976,28 @@ class TestCli:
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 5
 
-    def test_sweep_sigma_bad_cell_is_a_failed_row(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "args, cell, warning",
+        [
+            (["sweep-sigma", "--n", "5", "--n-list", "5,3", "--sigmas", "1"], ("N", "3"),
+             "gaussian sigma=1.0 N=3 p=3: support_bit must be in [0, 3), got 3"),
+            (["sweep-degree", "--n", "6", "--samples", "4", "--degrees", "3,4"], ("p", "4"),
+             "gaussian sigma=1.0 N=6 p=4: fit stage: need at least degree+1=5 "
+             "samples per region, got 4"),
+        ],
+        ids=["sweep-sigma", "sweep-degree"],
+    )
+    def test_sweep_bad_cell_is_a_failed_row(self, tmp_path, capsys, args, cell, warning):
+        # A failed cell is a NaN row of the CSV and a warning; the command
+        # succeeds and the other cell is written as usual.
         out = tmp_path / "rows.csv"
-        args = ["sweep-sigma", "--n", "5", "--n-list", "5,3", "--sigmas", "1"]
         assert main(args + ["--out", str(out)]) == 0
-        header, good, bad = out.read_text().splitlines()
-        row = dict(zip(header.split(","), bad.split(",")))
-        assert (row["N"], row["fidelity"], row["gate_count"]) == ("3", "nan", "0")
-        assert float(dict(zip(header.split(","), good.split(",")))["fidelity"]) > 0.999
-        assert capsys.readouterr().err == (
-            "warning: gaussian sigma=1.0 N=3: support_bit must be in [0, 3), got 3\n"
-        )
+        header, *lines = out.read_text().splitlines()
+        good, bad = (dict(zip(header.split(","), r.split(","))) for r in lines)
+        column, value = cell
+        assert (bad[column], bad["fidelity"], bad["gate_count"]) == (value, "nan", "0")
+        assert float(good["fidelity"]) > 0.99
+        assert capsys.readouterr().err == f"warning: {warning}\n"
 
     def test_sweep_sigma_config_domain(self, tmp_path):
         # a domain from the config file counts like the same --domain flag
