@@ -133,7 +133,9 @@ def _parse_setting(key: str, raw: str):
     return value
 
 
-def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
+def _resolve_settings(args: argparse.Namespace) -> dict:
+    # The CLI defaults, then the config file, then the flags. No domain
+    # unless the file or a flag sets one: its default is the family's.
     values = dict(_CLI_DEFAULTS)
     if args.config:
         for key, raw in _load_config_file(args.config).items():
@@ -141,10 +143,16 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
     for key in _RUN_KEYS:
         if getattr(args, key) is not None:
             values[key] = getattr(args, key)
-    values.setdefault("domain", DEFAULT_DOMAINS[values["dist"]])
+    return values
 
+
+def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
+    return _run_config(_resolve_settings(args))
+
+
+def _run_config(values: dict) -> RunConfig:
     kwargs = {DistributionSpec: {}, RunConfig: {}, CompressionOptions: {}}
-    for key, value in values.items():
+    for key, value in {"domain": DEFAULT_DOMAINS[values["dist"]], **values}.items():
         owner, name, _ = _RUN_KEYS[key]
         kwargs[owner][name] = value
     return RunConfig(
@@ -183,16 +191,17 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_sweep_sigma(args) -> int:
-    config = _resolve_run_config(args)
+    values = _resolve_settings(args)
+    config = _run_config(values)
     dists = args.dists.split(",") if args.dists else [config.spec.kind]
     specs = []
     for d in dists:
         if d not in DEFAULT_DOMAINS:
             raise ValueError(f"unknown distribution {d!r}")
-        # Resolved as if given by --dist: the domain from the flag or the
-        # file if either has one, else this family's default.
-        family = argparse.Namespace(**{**vars(args), "dist": d})
-        specs.append(_resolve_run_config(family).spec)
+        # As if given by --dist: the domain from the flag or the file if
+        # either has one, else this family's default.
+        domain = values.get("domain", DEFAULT_DOMAINS[d])
+        specs.append(replace(config.spec, kind=d, domain=domain))
     n_values = args.n_list or [config.n_qubits]
     return _write_sweep(args.out, sweep_sigma(config, args.sigmas, specs, n_values))
 

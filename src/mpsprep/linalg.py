@@ -1,9 +1,9 @@
 """Dense real linear algebra with fixed sign conventions.
 
 Everything here operates on plain float64 ``numpy`` arrays. The MPS stages
-use two deterministic factorizations: :func:`truncated_svd`, whose left
-singular vectors have a positive first nonzero entry, and the reduced QR
-of the MPS sweeps, whose R diagonal is non-negative. These conventions
+use two deterministic factorizations: the SVD cut :func:`_svd_cut`, whose
+left singular vectors have a positive first nonzero entry, and the reduced
+QR of the MPS sweeps, whose R diagonal is non-negative. These conventions
 make every downstream artifact (cores, gates, serialized circuits)
 reproducible bit for bit.
 
@@ -20,28 +20,19 @@ the same sign rule.
 The rank rule lives in :func:`_svd_cut` alone: a cut keeps its
 numerical rank, the values strictly above ``RANK_FLOOR`` of its largest,
 optionally capped at a maximum rank. The floor is relative, so the
-kept ranks do not change when the matrix is scaled.
-
-Checks run once, at the boundary. Public :func:`truncated_svd` copies
-its input and checks its shape and finiteness, then cuts it with
-:func:`_svd_cut`. The MPS sweeps call :func:`_svd_cut` directly on the
-matrices they have just built from checked cores, so no sweep step
-copies or scans its matrix again.
+kept ranks do not change when the matrix is scaled. The MPS sweeps call
+it on the matrices they have just built from checked cores, and their
+public entry points check ``max_rank`` with :func:`_check_max_rank`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
 
-__all__ = [
-    "SvdConvergenceError",
-    "SvdResult",
-    "truncated_svd",
-]
+__all__ = ["SvdConvergenceError"]
 
 _SIGN_EPS = 1e-12
 
@@ -101,33 +92,6 @@ class SvdConvergenceError(RuntimeError):
         self.cols = cols
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """Factors of (a possibly truncated) SVD, A ~= u @ diag(s) @ vt.
-
-    ``truncation_error`` is the Frobenius norm of the discarded part,
-    i.e. sqrt of the sum of squared omitted singular values.
-    """
-
-    u: np.ndarray
-    s: np.ndarray
-    vt: np.ndarray
-    truncation_error: float
-
-
-def _as_matrix(a) -> np.ndarray:
-    # Contiguous copy-in: identical values give identical results
-    # regardless of the caller's memory layout.
-    m = np.ascontiguousarray(a, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got ndim={m.ndim}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"matrix must be at least 1x1, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains non-finite entries")
-    return m
-
-
 def _fix_svd_signs(u: np.ndarray, vt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # First nonzero entry of each left singular vector made positive,
     # compensated in the matching right singular vector.
@@ -159,33 +123,17 @@ def _check_max_rank(max_rank) -> None:
 
 
 def _svd_cut(m: np.ndarray, max_rank: int | None):
-    """``(u, s, vt, dropped)``: the triplets of ``m``'s SVD that the rank
-    rule of :func:`truncated_svd` keeps, signs fixed, and the singular
-    values it drops. ``m`` must be a finite 2-d float array and
-    ``max_rank`` None or >= 1; neither is checked here."""
+    """``(u, s, vt)``: the leading triplets of ``m``'s SVD whose value is
+    strictly above ``RANK_FLOOR`` times the largest, at least one (a zero
+    matrix keeps one null triplet, so shapes stay valid) and at most
+    ``max_rank``. Left singular vectors have a positive first nonzero
+    entry. ``m`` must be a finite 2-d float array and ``max_rank`` None
+    or >= 1; neither is checked here."""
     u, s, vt = _raw_svd(m)
     keep = max(1, int(np.count_nonzero(s > RANK_FLOOR * s[0])))
     keep = keep if max_rank is None else min(keep, max_rank)
     u, vt = _fix_svd_signs(u[:, :keep], vt[:keep])
-    return u, s[:keep], vt, s[keep:]
-
-
-def truncated_svd(a, max_rank: int | None = None) -> SvdResult:
-    """SVD cut to the matrix's numerical rank, capped at ``max_rank``.
-
-    Kept are the leading triplets whose value is strictly above
-    ``RANK_FLOOR`` times the largest: at least one (a zero matrix keeps
-    one null triplet, so shapes stay valid) and at most ``max_rank``.
-    Left singular vectors have a positive first nonzero entry. The
-    reported ``truncation_error`` is the Frobenius distance to the best
-    approximation of the kept rank, sqrt(sum of squared discarded values),
-    counting the values below the floor too. ``a`` and ``max_rank`` are
-    checked here, and the cut is :func:`_svd_cut`'s.
-    """
-    _check_max_rank(max_rank)
-    u, s, vt, dropped = _svd_cut(_as_matrix(a), max_rank)
-    err = float(np.sqrt(np.sum(dropped**2)))
-    return SvdResult(u=u, s=s, vt=vt, truncation_error=err)
+    return u, s[:keep], vt
 
 
 def _qr_signed(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,7 @@ Provided here: exact construction from dense vectors by successive SVDs,
 evaluation, inner products, canonical forms, rank reduction by
 truncated-SVD sweeps (each bond cut to its numerical rank, optionally
 capped at ``max_rank``, by the rank rule of
-:func:`~mpsprep.linalg.truncated_svd`), and
+:func:`~mpsprep.linalg._svd_cut`), and
 variational fixed-rank compression by alternating single-site overlap
 maximization. Compression works on the head of the chain only: a
 trailing run of cores whose two slices agree to ``PRODUCT_TOL`` of the
@@ -236,7 +236,7 @@ def to_mps_exact(v, max_rank: int | None = None) -> Mps:
     """Factor a dense vector into an MPS by successive truncated SVDs.
 
     Each bond is the cut's numerical rank, capped at ``max_rank`` (see
-    :func:`truncated_svd`). The squared dense-vector error is bounded by
+    ``linalg._svd_cut``). The squared dense-vector error is bounded by
     the sum of all squared omitted singular values across the sweep. The
     result is left-canonical.
     """
@@ -255,9 +255,9 @@ def to_mps_exact(v, max_rank: int | None = None) -> Mps:
 
 
 def _svd_step(mat: np.ndarray, max_rank: int | None):
-    """``(u, s vt)`` of ``mat`` cut as ``truncated_svd(mat, max_rank)`` cuts
-    it; ``mat`` is a finite unfolding the sweep has just built."""
-    u, s, vt, _ = _svd_cut(mat, max_rank)
+    """``(u, s vt)`` of ``mat`` cut by the rank rule, ``_svd_cut``;
+    ``mat`` is a finite unfolding the sweep has just built."""
+    u, s, vt = _svd_cut(mat, max_rank)
     return u, s[:, None] * vt
 
 

@@ -17,15 +17,16 @@ as its output.
 Error accounting takes one run of the construction (fit, assemble,
 compress, extract) and attributes its final infidelity to the three
 sources by successive overlap drops; shares are each drop divided by
-the total infidelity. It never simulates the gates: the circuit's state
-is the rank-2 MPS that :func:`circuit_to_mps` reads off them. That MPS
-and the assembled one are each cut at qubit N // 2, and the unit target
-is read against both tails stacked, for the fit and the total, by
+the total infidelity. It never simulates the gates: it checks that
+:func:`circuit_to_mps` reads each compressed core back off them bit for
+bit, so the circuit's state is the compressed MPS. That MPS and the
+assembled one are each cut at qubit N // 2, and the unit target is read
+against both tails stacked, for the fit and the total, by
 ``functions._unit_target``, the one reader of the target, which
 ``target_amplitudes`` calls too. So no 2^N vector is made, but the
 target is still read at all 2^N grid points, so it is refused above the
 dense limit: there nothing measures the circuit against the target.
-Compression and gate drops are MPS overlaps.
+The compression drop is an MPS overlap.
 """
 
 from __future__ import annotations
@@ -207,9 +208,9 @@ class ErrorDecomposition:
     as the MPS encodes it, and ``fidelity`` = |<exact target|circuit
     state>|, both read off one product of the target with the two MPS
     cut at qubit N // 2; ``total`` is 1 - ``fidelity``.
-    ``mps_error`` = 1 - |<assembled|compressed>| / ||assembled|| and
-    ``gate_error`` = 1 - |<compressed|circuit state>| are MPS overlaps.
-    ||assembled|| is :meth:`Mps.norm`, taken once for both.
+    ``mps_error`` = 1 - |<assembled|compressed>| / ||assembled||, one
+    :meth:`Mps.norm` serving both. ``gate_error`` is 0: the gates hold
+    the compressed cores bit for bit, or :func:`error_decomposition` raises.
     Each share is one drop divided by the total infidelity (zero when the
     pipeline is lossless). The drops start from different baselines, so
     the shares need not sum to 1 when the infidelity is large.
@@ -238,30 +239,35 @@ class ErrorDecomposition:
 def error_decomposition(result: PipelineResult) -> ErrorDecomposition:
     """Attribute a run's end-to-end infidelity to fit, compression, and gates.
 
-    The circuit's state is read off its gates by :func:`circuit_to_mps`.
-    It and the assembled MPS are each cut at qubit h = N // 2, and the
-    unit target's (2^h, 2^(N-h)) view times both tails stacked, from
+    The cores that :func:`circuit_to_mps` reads off the gates must hold
+    the compressed cores' bytes on their bonds, and zeros past the right
+    bond, else a ValueError names the first gate that differs. The compressed and
+    assembled MPS are each cut at qubit h = N // 2, and the unit target's
+    (2^h, 2^(N-h)) view times both tails stacked, from
     :func:`functions._unit_target`, gives the rows of the fit and total
     overlaps: the target is read once, in blocks, and normed as
     ``target_amplitudes`` norms it. No 2^N vector is made.
     """
     n = result.grid.n_qubits
     _check_dense(n, "error_decomposition")
-    a = result.assembled
-    circ = circuit_to_mps(result.circuit)
+    a, c = result.assembled, result.compressed
+    back = circuit_to_mps(result.circuit).cores
+    for t, (got, core) in enumerate(zip(back, c.cores, strict=True)):
+        left, _, right = core.shape
+        if got[:left, :, :right].tobytes() != core.tobytes() or got[:left, :, right:].any():
+            raise ValueError(f"gate {t} does not hold compressed core {t}")
     h = n // 2
     a_head, a_tail = _halves(a, h)
-    c_head, c_tail = _halves(circ, h)
+    c_head, c_tail = _halves(c, h)
     cut = _unit_target(result.spec, n, np.vstack([a_tail, c_tail]))
     a_norm = a.norm()
     bond = len(a_tail)
     f_pp = min(abs(float(np.sum(a_head * cut[:, :bond]))) / a_norm, 1.0)
     f_total = min(abs(float(np.sum(c_head * cut[:, bond:]))), 1.0)
-    f_compress = min(abs(overlap(a, result.compressed)) / a_norm, 1.0)
-    f_gate = min(abs(overlap(result.compressed, circ)), 1.0)
+    f_compress = min(abs(overlap(a, c)) / a_norm, 1.0)
     return ErrorDecomposition(
         pp_error=1.0 - f_pp,
         mps_error=1.0 - f_compress,
-        gate_error=1.0 - f_gate,
+        gate_error=0.0,
         fidelity=f_total,
     )

@@ -16,7 +16,7 @@ from mpsprep import (
     tt_round,
     unfolding_spectra,
 )
-from mpsprep.linalg import PRODUCT_TOL, truncated_svd
+from mpsprep.linalg import PRODUCT_TOL, _svd_cut
 from mpsprep.circuits import _right_canonical
 from mpsprep.mps import (
     _compress_head,
@@ -34,6 +34,13 @@ from mpsprep.functions import (
 )
 
 from conftest import householder_qr, random_mps
+
+
+# A rank cap is None or an integer >= 1 (numpy integers included); each
+# bad cap with the rule its message states.
+BAD_MAX_RANKS = [(0, "max_rank must be >= 1"), (-1, "max_rank must be >= 1")] + [
+    (bad, "max_rank must be an integer") for bad in (2.5, 2.0, True, "2")
+]
 
 
 def ones_product_state(n):
@@ -288,9 +295,9 @@ class TestToMpsExact:
 
     def test_invalid_max_rank(self, rng):
         v = rng.standard_normal(16)
-        for bad in (0, 2.5, True, "2"):
+        for bad, rule in BAD_MAX_RANKS:
             for vec in (v, [1.0, 0.0]):  # a one-site chain has no cut
-                with pytest.raises(ValueError, match="max_rank"):
+                with pytest.raises(ValueError, match=rule):
                     to_mps_exact(vec, bad)
         assert to_mps_exact(v, np.int64(2)).max_bond == 2
 
@@ -437,9 +444,9 @@ class TestTtRound:
 
     def test_invalid_max_rank(self, rng):
         m = random_mps(5, 3, rng)
-        for bad in (0, 2.5, True, "2"):
+        for bad, rule in BAD_MAX_RANKS:
             for chain in (m, ones_product_state(1)):  # one site: no cut
-                with pytest.raises(ValueError, match="max_rank"):
+                with pytest.raises(ValueError, match=rule):
                     tt_round(chain, bad)
         assert tt_round(m, np.int64(2)).max_bond == 2
 
@@ -680,9 +687,9 @@ def _reference_compress_als(m, opts):
         work[i + 1] = np.tensordot(r, work[i + 1], axes=([1], [0]))
     for i in range(n - 1, 0, -1):
         al, _, ar = work[i].shape
-        res = truncated_svd(work[i].reshape(al, 2 * ar), opts.target_chi)
-        work[i] = res.vt.reshape(len(res.s), 2, ar)
-        carry = res.u * res.s
+        u, s, vt = _svd_cut(work[i].reshape(al, 2 * ar), opts.target_chi)
+        work[i] = vt.reshape(len(s), 2, ar)
+        carry = u * s
         work[i - 1] = np.tensordot(work[i - 1], carry, axes=([2], [0]))
     t_cores = m.cores
     right_env = [None] * (n + 1)

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pathlib
 import subprocess
@@ -77,3 +78,48 @@ def test_setup_loads_no_scipy_or_fractions():
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def _loaded_names(*dirs):
+    # Every name some Python file under `dirs` reads: a bare name in a
+    # load context or the attribute of a dotted access. A name that is only
+    # defined or imported is not read.
+    names = set()
+    for path in (p for d in dirs for p in sorted(d.rglob("*.py"))):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def _private_definitions(path):
+    # The module-level functions, classes and constants of `path` whose
+    # names start with one underscore.
+    names = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def test_no_dead_helper():
+    # A private helper that nothing in the package reads, or a public name
+    # that neither the package nor its tests read, is dead code.
+    src = ROOT / "src" / "mpsprep"
+    in_src = _loaded_names(src)
+    dead = [
+        f"{path.stem}.{name}"
+        for path in sorted(src.glob("*.py"))
+        for name in _private_definitions(path)
+        if name not in in_src
+    ]
+    in_tests = in_src | _loaded_names(ROOT / "tests")
+    for name in LAYER_MODULES:
+        mod = importlib.import_module(f"mpsprep.{name}")
+        dead += [f"{name}.{attr}" for attr in mod.__all__ if attr not in in_tests]
+    assert not dead, f"defined but never read: {dead}"

@@ -33,6 +33,7 @@ from mpsprep import (
     target_amplitudes,
     to_mps_exact,
 )
+from mpsprep import cli
 from mpsprep.cli import main
 from mpsprep.pipeline import _csv
 
@@ -435,6 +436,8 @@ class TestSweeps:
              "sigma must be finite and > 0, got -1.0"),
             (lambda bad: sweep_degree(g6, [3, *bad]), "p", 2.5,
              "degree must be an integer, got 2.5"),
+            (lambda bad: sweep_degree(g6, [3, *bad]), "p", -1,
+             "degree must be >= 0, got -1"),
         ]
         for sweep, column, value, message in cases:
             *good, failed = sweep([value])
@@ -470,8 +473,12 @@ class TestSweeps:
         assert fids[2] >= 0.99  # cubic
 
     def test_degree_validation(self):
-        with pytest.raises(ValueError, match="degrees"):
-            sweep_degree(gaussian_config(n=5), [0, 1])
+        # Degree 0 is RunConfig's floor and sweeps like any other degree; a
+        # negative one fails its own row with RunConfig's message.
+        rows = sweep_degree(gaussian_config(n=5), [0, 1, -1])
+        assert [r.p for r in rows] == [0, 1, -1]
+        assert [r.error for r in rows] == ["", "", "degree must be >= 0, got -1"]
+        assert rows[0].fidelity > 0.999
 
     def test_sigma_shape_slight_dip_then_rise(self):
         # fidelity recovers monotonically past the mid-sigma dip and any
@@ -1015,6 +1022,26 @@ class TestCli:
                 del row[col]
         assert rows[0] == rows[1]
         assert rows[0]["fidelity"] == "0.999979414826"
+
+    @pytest.mark.parametrize("domain", [[], ["--domain", "0.5,3"]], ids=["default", "flag"])
+    def test_sweep_sigma_families_read_the_config_once(self, tmp_path, monkeypatch, domain):
+        # Each family of --dists gives the rows that --dist gives it: the
+        # domain from the flag if one is set, else the family's default.
+        # The config file is read once for all of them.
+        reads, load = [], cli._load_config_file
+        monkeypatch.setattr(cli, "_load_config_file", lambda p: reads.append(p) or load(p))
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("mu = 1.2\n")
+        common = ["sweep-sigma", "--config", str(cfgfile), "--sigmas", "0.5", "--n", "6"]
+
+        def untimed(*extra):
+            out = tmp_path / "rows.csv"
+            assert main([*common, *domain, *extra, "--out", str(out)]) == 0
+            return [line.rsplit(",", 3)[0] for line in out.read_text().splitlines()[1:]]
+
+        both = untimed("--dists", "gaussian,lognormal")
+        assert len(reads) == 1
+        assert both == untimed("--dist", "gaussian") + untimed("--dist", "lognormal")
 
     def test_spectra_csv(self, tmp_path):
         out = tmp_path / "spec.csv"

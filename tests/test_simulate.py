@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -145,6 +146,38 @@ class TestErrorDecomposition:
         s_logn = error_decomposition(build_pipeline(logn, 7)).shares["pp"]
         s_gauss = error_decomposition(build_pipeline(gauss, 7)).shares["pp"]
         assert s_logn > s_gauss
+
+    @pytest.mark.parametrize(
+        "pdf, n, gate, row",
+        [
+            # the entry at `row` of the gate's (bond 0, |0>) column holds
+            # core entry (0, s, r), (s, r) = divmod(row, 2); the terminal
+            # gate's row is s
+            (None, 8, 0, 0),
+            (None, 8, 3, 2),
+            (None, 8, 7, 1),  # the terminal gate
+            # bond 1 everywhere: row 1 is r = 1, past core 2's right bond
+            (lambda x: np.ones_like(np.asarray(x)), 6, 2, 1),
+        ],
+        ids=["first", "middle", "terminal", "past-right-bond"],
+    )
+    def test_corrupt_gate_column_raises(self, pdf, n, gate, row):
+        # The gates' specified columns must read back as the compressed
+        # cores bit for bit; one entry moved by one ulp names its gate.
+        if pdf is None:
+            spec = DistributionSpec("gaussian", mu=1.0, sigma=0.44, domain=(0.0, 2.0))
+        else:
+            spec = DistributionSpec("custom", domain=(0.0, 2.0), pdf_fn=pdf)
+        res = build_pipeline(spec, n, support_bit=min(3, n - 1))
+        assert error_decomposition(res).gate_error == 0.0
+        gates = list(res.circuit.gates)
+        mat = gates[gate].matrix.copy()
+        mat[row, 0] = np.nextafter(mat[row, 0], np.inf)
+        gates[gate] = Gate(gates[gate].qubits, mat)
+        bad = dataclasses.replace(res, circuit=Circuit(n, tuple(gates)))
+        msg = f"^gate {gate} does not hold compressed core {gate}$"
+        with pytest.raises(ValueError, match=msg):
+            error_decomposition(bad)
 
     @pytest.mark.parametrize("sigma", [0.1, 0.6, 1.0])
     def test_composition_consistency(self, sigma):
